@@ -55,7 +55,11 @@ class Levels:
         if not self.order:
             self.order = list(range(self.n))
             self.rng.shuffle(self.order)
-        u = (self.order.pop() + 0.5 + self.jitter * (self.rng.random() - 0.5)) / self.n
+        return self.at(self.order.pop())
+
+    def at(self, k):
+        """Level ``k`` with a fresh jitter."""
+        u = (k + 0.5 + self.jitter * (self.rng.random() - 0.5)) / self.n
         if self.log:
             return int(round(self.lo * (self.hi / self.lo) ** u))
         return int(round(self.lo + u * (self.hi - self.lo)))
@@ -82,32 +86,22 @@ class Fresh:
 # ---------------------------------------------------------------- design
 
 
-# Machine grids are drawn below or above this gap in bits. A 4-point grid
-# below it costs less than ``run table5``, one above it more, so table5
-# sits at the middle of every cycle's latency order and the median of
-# whole cycles does not hop between clusters of similar ops.
-DESIGN_GAP = (LOW_TOP, HIGH_BOTTOM) = (896, 1408)
-
-
 def design_ops(seed):
     """Endless op stream for ``design-sweep``, in cycles of thirteen: the
     three golden-pinned artifacts (``sweep grid``, ``run table5``,
     ``run fig7``) and ten seeded 4-point ``machine`` grids over
-    tech x code x bits x blocks x xfer, five with bits in
-    [128, LOW_TOP] and five in [HIGH_BOTTOM, 2048]."""
+    tech x code x bits x blocks x xfer, with bits on ten levels of
+    [128, 2048], one grid per level in every cycle."""
     rng = rng_for("design-sweep", seed)
-    low, high = Levels(rng, 128, LOW_TOP, 5), Levels(rng, HIGH_BOTTOM, 2048, 5)
+    bits = Levels(rng, 128, 2048, 10)
     b_low, b_high = Spread(rng, 9, 59, step=Spread.SILVER), Spread(rng, 60, 100, step=Spread.SILVER)
-    cycle = ("grid", low, high, low, "table5", high, low, high, "fig7", low, high, low, high)
+    cycle = ("grid",) + ("machine",) * 3 + ("table5",) + ("machine",) * 3 + ("fig7",) + ("machine",) * 4
     i = 0
     while True:
         for step in cycle:
-            op = {"id": i, "group": i // len(cycle), "cycle_start": step == "grid"}
-            if isinstance(step, str):
-                op["kind"] = step
-            else:
-                op["kind"] = "machine"
-                op["spec"] = (f"tech={rng.choice(TECHS)} code=steane,bacon-shor bits={step.draw()} "
+            op = {"id": i, "kind": step, "group": i // len(cycle), "cycle_start": step == "grid"}
+            if step == "machine":
+                op["spec"] = (f"tech={rng.choice(TECHS)} code=steane,bacon-shor bits={bits.draw()} "
                               f"blocks={b_low.draw()},{b_high.draw()} xfer={rng.randrange(2, 21)}")
             yield op
             i += 1
@@ -151,17 +145,29 @@ def random_program(rng, qubits, gates):
 
 def compile_ops(seed, lo=1024, hi=65536):
     """Endless op stream for ``compile-programs``: one distinct program per
-    op, gates on log-spaced levels over ``[lo, hi]``, qubits over [16, 128]."""
+    op. Each block of nine ops visits nine log-spaced gate levels of
+    ``[lo, hi]``, nine qubit levels of [16, 128] and nine width levels of
+    [4, 64] once each. Gate level ``g`` of block ``b`` gets qubit level
+    ``g + b`` and width level ``g + 2b`` (mod 9), a Graeco-Latin square,
+    so every nine blocks pair each gate level once with each qubit level
+    and each width level. The pairing is the same for every seed, which
+    keeps the ops near the median alike from seed to seed; the seed draws
+    the programs, the order within a block and each level's jitter."""
     rng = rng_for("compile-programs", seed)
-    gates = Levels(rng, lo, hi, 9, log=True)
-    qubits = Spread(rng, 16, 128, step=Spread.SILVER)
+    n = 9
+    gates = Levels(rng, lo, hi, n, log=True)
+    qubits, widths = Levels(rng, 16, 128, n), Levels(rng, 4, 64, n)
     i = 0
     while True:
-        q, g = qubits.draw(), gates.draw()
-        text, toff = random_program(rng, q, g)
-        yield {"id": i, "kind": "compile", "group": i // 9, "width": rng.randrange(4, 65),
-               "qubits": q, "gates": g, "toffoli": toff, "program": text}
-        i += 1
+        b = i // n
+        order = list(range(n))
+        rng.shuffle(order)
+        for g in order:
+            q, w, size = qubits.at((g + b) % n), widths.at((g + 2 * b) % n), gates.at(g)
+            text, toff = random_program(rng, q, size)
+            yield {"id": i, "kind": "compile", "group": b, "cycle_start": i % n == 0,
+                   "width": w, "qubits": q, "gates": size, "toffoli": toff, "program": text}
+            i += 1
 
 
 # ------------------------------------------------------------- serve-mix
@@ -178,6 +184,11 @@ def _machine_query(rng, bits):
 
 def _query(params):
     return "&".join(f"{k}={v}" for k, v in params.items())
+
+
+# One block of the serve-mix, shuffled anew for every block of ops.
+SERVE_PLAN = (["popular"] * 60 + ["cold"] * 14 + ["grid"] * 6 + ["compile"] * 12
+              + ["job"] * 5 + ["reject"] * 3)
 
 
 def serve_ops(seed):
@@ -203,8 +214,7 @@ def serve_ops(seed):
     # Grid and job sizes rotate 2, 3, 4 points rather than being drawn,
     # so the heavy ops that set the tail look alike from seed to seed.
     grid_n, job_n = itertools.cycle((2, 3, 4)), itertools.cycle((2, 3, 4))
-    plan = (["popular"] * 60 + ["cold"] * 14 + ["grid"] * 6 + ["compile"] * 12
-            + ["job"] * 5 + ["reject"] * 3)
+    plan = SERVE_PLAN
     i = 0
     while True:
         block = plan[:]
@@ -252,8 +262,12 @@ def serve_ops(seed):
 
 def fleet_ops(seed):
     """Endless op stream for ``fleet-sweep``: alternating legacy
-    design-space sweep specs and registry ``machine`` grids, 8 points
-    each, every point distinct within the run."""
+    design-space sweep specs and registry ``machine`` grids, 32 points
+    each (4 bits x 2 codes x 2 blocks x 2 xfer), every point distinct
+    within the run. Ops are this large so that compute, not the fixed
+    process start and round trips of a distributed run, sets the
+    makespan: on the 2-vCPU reference box those fixed costs swing with
+    the host's wake-up latency."""
     rng = rng_for("fleet-sweep", seed)
     small, large = Levels(rng, 128, 448, 4), Levels(rng, 448, 768, 4)
     fresh = Fresh()
@@ -262,14 +276,16 @@ def fleet_ops(seed):
         kind = "sweep" if i % 2 == 0 else "grid"
 
         def draw():
-            v = {"tech": rng.choice(TECHS), "b1": small.draw(), "b2": large.draw(),
-                 "k": rng.randrange(9, 101), "x1": rng.randrange(2, 11)}
+            v = {"tech": rng.choice(TECHS),
+                 "bits": sorted([small.draw(), small.draw(), large.draw(), large.draw()]),
+                 "k1": rng.randrange(9, 55), "k2": rng.randrange(55, 101), "x1": rng.randrange(2, 11)}
             v["x2"] = rng.randrange(v["x1"] + 1, 21)
-            return [(kind, v["tech"], b, v["k"]) for b in (v["b1"], v["b2"])], v
+            return [(kind, v["tech"], b, k) for b in v["bits"] for k in (v["k1"], v["k2"])], v
 
         v = fresh.take(draw)
-        clauses = [f"tech={v['tech']}", "code=steane,bacon-shor", f"bits={v['b1']},{v['b2']}",
-                   f"blocks={v['k']}", f"xfer={v['x1']},{v['x2']}"]
+        clauses = [f"tech={v['tech']}", "code=steane,bacon-shor", "bits=" + ",".join(map(str, v["bits"])),
+                   f"blocks={v['k1']},{v['k2']}", f"xfer={v['x1']},{v['x2']}"]
         args = [" ".join(clauses)] if kind == "sweep" else ["machine"] + clauses
-        yield {"id": i, "kind": kind, "group": i // 4, "args": args, "points": 8}
+        yield {"id": i, "kind": kind, "group": i // 4, "cycle_start": i % 4 == 0, "args": args,
+               "points": 32}
         i += 1

@@ -10,8 +10,9 @@ human-readable summary, and ends with one JSON line:
 ``{"correct", "attempted", "failed", "metrics"}``. With ``--trace 0`` the
 metrics are the end-to-end metrics of ``BENCHMARK.json``, measured with
 no tracing; with ``--trace 1`` they are its per-layer metrics, from a
-separate run that records spans. ``--record-reference`` rewrites the
-default seed's reference digests instead of checking them.
+separate run that records spans. ``--record-reference`` runs the fixed
+prefix of the default seed's op stream with no time limit and rewrites
+its reference digests instead of checking them.
 """
 
 import argparse

@@ -40,6 +40,8 @@ struct Replay {
     ops: u64,
     replay_op_ms: Vec<f64>,
     mirror_errors: u64,
+    /// Ids of ops on which a replica disagreed with the program.
+    mismatch_ops: Vec<f64>,
     /// Extra metrics a mode computes outside the span totals.
     extra: BTreeMap<String, f64>,
 }
@@ -77,6 +79,7 @@ fn main() -> ExitCode {
         ops: 0,
         replay_op_ms: Vec::new(),
         mirror_errors: 0,
+        mismatch_ops: Vec::new(),
         extra: BTreeMap::new(),
     };
     match workload.as_str() {
@@ -101,16 +104,26 @@ fn field<'a>(op: &'a Json, key: &str) -> &'a str {
     op.get(key).and_then(Json::as_str).unwrap_or("")
 }
 
-fn replay_ops(r: &mut Replay, ops: &[Json], budget: Duration, f: fn(&mut Replay, &Json)) {
+fn replay_ops(
+    r: &mut Replay,
+    ops: &[Json],
+    budget: Duration,
+    f: fn(&mut Replay, &mut Mirror, &Json),
+) {
     let start = Instant::now();
     let mut grids = 0;
     for op in ops {
         if r.ops > 0 && start.elapsed() >= budget {
             break;
         }
-        r.rec
-            .set_op(op.get("id").and_then(Json::as_f64).unwrap_or(0.0) as u64);
-        f(r, op);
+        let id = op.get("id").and_then(Json::as_f64).unwrap_or(0.0);
+        r.rec.set_op(id as u64);
+        let mut m = Mirror::new();
+        f(r, &mut m, op);
+        r.mirror_errors += m.errors;
+        if !m.mismatches.is_empty() {
+            r.mismatch_ops.push(id);
+        }
         r.ops += 1;
         // A thread-count pass over the first few grids an op carries.
         if grids < 3 && field(op, "kind") == "machine" {
@@ -140,16 +153,17 @@ fn machine_grid(rec: &mut Recorder, spec: &str) -> Grid {
 
 /// The in-process equivalent of one CLI op: the artifact's own entry
 /// point on a fresh context, then the JSON rendering the CLI prints.
-fn run_and_render(r: &mut Replay, run: impl FnOnce() -> Json) {
+/// Returns the document.
+fn run_and_render(r: &mut Replay, run: impl FnOnce() -> Json) -> Json {
     let t = Instant::now();
     let doc = r.rec.span("experiments.run", |_| run());
     let text = r.rec.span("json.render", |_| doc.to_pretty());
     r.rec.add("json.doc_bytes", (text.len() + 1) as f64);
     r.replay_op_ms.push(t.elapsed().as_secs_f64() * 1e3);
+    doc
 }
 
-fn design_op(r: &mut Replay, op: &Json) {
-    let mut m = Mirror::new();
+fn design_op(r: &mut Replay, m: &mut Mirror, op: &Json) {
     let rec = &mut r.rec;
     match field(op, "kind") {
         "grid" => {
@@ -164,7 +178,6 @@ fn design_op(r: &mut Replay, op: &Json) {
                 }
                 m.verify(rec, true, |ctx| PointOutcome::evaluate_ctx(p, ctx));
             }
-            r.mirror_errors += m.errors;
             run_and_render(r, || SweepRun::execute(&sweep, 1).to_json());
         }
         "table5" => {
@@ -178,13 +191,13 @@ fn design_op(r: &mut Replay, op: &Json) {
                 }
             }
             m.verify(rec, true, |ctx| Table5::default().rows_ctx(ctx));
-            r.mirror_errors += m.errors;
             run_and_render(r, || {
                 let exp = find("table5").expect("table5 is registered");
                 exp.run().document(exp.id())
             });
         }
         "fig7" => {
+            let mut in_order = Vec::new();
             for bits in FIG7_SIZES {
                 let pe = 9 * primary_blocks(bits) as usize;
                 for factor in FIG7_FACTORS {
@@ -197,7 +210,7 @@ fn design_op(r: &mut Replay, op: &Json) {
                         .chain(adder.b_register())
                         .map(QubitId::new)
                         .collect();
-                    sim_run(
+                    let run = sim_run(
                         rec,
                         &CacheSim::new(capacity),
                         &circuit,
@@ -205,13 +218,19 @@ fn design_op(r: &mut Replay, op: &Json) {
                         &inputs,
                         2,
                     );
+                    in_order.push(run.hit_rate());
                     m.cache(rec, bits, capacity);
                 }
             }
             // The warm rows re-simulate the in-order cells, so this pass
             // checks the mirror but is not timed as assembly.
-            m.verify(rec, false, |ctx| Fig7.rows_ctx(ctx));
-            r.mirror_errors += m.errors;
+            let rows = m.verify(rec, false, |ctx| Fig7.rows_ctx(ctx));
+            let program: Vec<f64> = rows
+                .iter()
+                .filter(|row| row.policy == FetchPolicy::InOrder)
+                .map(|row| row.hit_rate)
+                .collect();
+            m.check("fig7 in-order cache.sim_run", &in_order, &program);
             run_and_render(r, || {
                 let exp = find("fig7").expect("fig7 is registered");
                 exp.run().document(exp.id())
@@ -242,15 +261,13 @@ fn design_op(r: &mut Replay, op: &Json) {
                     std::hint::black_box((s, h));
                 });
             }
-            r.mirror_errors += m.errors;
             run_and_render(r, || GridRun::execute(&grid, 1).to_json());
         }
         other => panic!("unknown design op kind `{other}`"),
     }
 }
 
-fn compile_op(r: &mut Replay, op: &Json) {
-    let mut m = Mirror::new();
+fn compile_op(r: &mut Replay, m: &mut Mirror, op: &Json) {
     let rec = &mut r.rec;
     let text = field(op, "program");
     let width = op.get("width").and_then(Json::as_f64).unwrap_or(9.0) as u32;
@@ -267,38 +284,40 @@ fn compile_op(r: &mut Replay, op: &Json) {
     m.ecc(rec, &tech, code, Level::ONE);
     m.ecc(rec, &tech, code, Level::TWO);
     m.level1_share(rec, &tech, code, program.num_qubits());
+    // The artifact's direct cold and warm `CacheSim` passes, outside any
+    // memo; their result is checked against the document below.
+    let mut cache = (0.0, 0);
     if !lowered.is_empty() {
         let capacity = (2.0 * (9 * u64::from(width)) as f64).round().max(1.0) as usize;
         let inputs: Vec<QubitId> = (0..program.num_qubits()).map(QubitId::new).collect();
         let sim = CacheSim::new(capacity);
-        sim_run(
-            rec,
-            &sim,
-            &lowered,
-            FetchPolicy::OptimizedLookahead,
-            &inputs,
-            1,
-        );
-        sim_run(
-            rec,
-            &sim,
-            &lowered,
-            FetchPolicy::OptimizedLookahead,
-            &inputs,
-            2,
-        );
+        let policy = FetchPolicy::OptimizedLookahead;
+        let cold = sim_run(rec, &sim, &lowered, policy, &inputs, 1);
+        let warm = sim_run(rec, &sim, &lowered, policy, &inputs, 2);
+        cache = (warm.hit_rate(), warm.fetch_misses() - cold.fetch_misses());
     }
     m.area(rec, &tech, code, u64::from(program.num_qubits()), width);
-    r.mirror_errors += m.errors;
-    run_and_render(r, || {
-        let mut exp = find("compile").expect("compile is registered");
-        exp.set("source", "inline-asm")
-            .expect("inline-asm is valid");
-        exp.set("program", text).expect("program accepts any text");
-        exp.set("width", &width.to_string())
-            .expect("generated widths are valid");
-        exp.run().document(exp.id())
-    });
+    let mut exp = find("compile").expect("compile is registered");
+    exp.set("source", "inline-asm")
+        .expect("inline-asm is valid");
+    exp.set("program", text).expect("program accepts any text");
+    exp.set("width", &width.to_string())
+        .expect("generated widths are valid");
+    // The artifact on the warm context re-runs its direct cache passes,
+    // so this pass checks the mirror but is not timed as assembly.
+    m.verify(rec, false, |ctx| exp.run_ctx(ctx));
+    let doc = run_and_render(r, || exp.run().document(exp.id()));
+    let field = |k: &str| {
+        doc.get("data")
+            .and_then(|d| d.get("cache"))
+            .and_then(|c| c.get(k))
+            .and_then(Json::as_f64)
+    };
+    let program_cache = (
+        field("hit_rate").unwrap_or(f64::NAN),
+        field("fetches_per_run").map_or(u64::MAX, |f| f as u64),
+    );
+    m.check("compile cache.sim_run", &cache, &program_cache);
 }
 
 /// Runs each grid at 1 and at all available threads, each on the
@@ -403,18 +422,27 @@ fn fleet(r: &mut Replay, ops: &[Json]) {
                 .map(|g| g.spec().to_owned())
                 .collect()
         } else {
+            // A copy of the coordinator's private split: `n` contiguous
+            // shards whose sizes differ by at most one.
             let sweep = Sweep::parse(spec).expect("generated sweeps parse");
             let points = sweep.points();
-            let per = points.len().div_ceil(workers.max(1)).max(1);
-            points
-                .chunks(per)
-                .map(|c| {
-                    c.iter()
-                        .map(cqla_sweep::parse::render_point)
-                        .collect::<Vec<_>>()
-                        .join("\n")
-                })
-                .collect()
+            let n = workers.clamp(1, points.len().max(1));
+            let mut rest = &points[..];
+            let mut shards = Vec::with_capacity(n);
+            for i in 0..n {
+                let size = points.len() / n + usize::from(i < points.len() % n);
+                let (head, tail) = rest.split_at(size);
+                if !head.is_empty() {
+                    shards.push(
+                        head.iter()
+                            .map(cqla_sweep::parse::render_point)
+                            .collect::<Vec<_>>()
+                            .join("\n"),
+                    );
+                }
+                rest = tail;
+            }
+            shards
         };
         plan_ns += t.elapsed().as_nanos();
         plans += 1;
@@ -548,6 +576,10 @@ fn report(r: &Replay) -> Json {
     Json::obj([
         ("ops", Json::from(r.ops as f64)),
         ("mirror_errors", Json::from(r.mirror_errors as f64)),
+        (
+            "mismatch_ops",
+            Json::Arr(r.mismatch_ops.iter().map(|&v| Json::from(v)).collect()),
+        ),
         (
             "replay_op_ms",
             Json::Arr(r.replay_op_ms.iter().map(|&v| Json::from(v)).collect()),

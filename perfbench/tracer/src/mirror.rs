@@ -3,20 +3,27 @@
 //! `EvalCtx` reports only its summed hit/miss counters, so the tracer
 //! replays each design point's memo calls itself, in the order the
 //! studies make them, one public `EvalCtx` method per call. A key seen
-//! for the first time is a miss: its computation is re-run under a span
-//! through the same public functions the memo's compute closure calls
-//! (so inner layers get spans of their own), then the `EvalCtx` method
-//! is called untimed to fill the table. A repeated key is a hit and is
-//! only counted. After the mirror, the real study runs on the warm
-//! context; if that costs any miss, or a different number of hits than
-//! the mirror made, the mirror has drifted from the program and the run
-//! reports it as a mirror error.
+//! for the first time is a miss: the `EvalCtx` method itself runs under
+//! the table's `eval.<t>` span, so that span times the program's own
+//! computation. Then a replica of the memo's compute closure runs under
+//! `replica.<t>`, calling the same public functions with the same
+//! arguments (`ShorInstance::app_size`, `DraperAdder::new`,
+//! `CacheSim::run`, ...) so the inner layers get spans of their own; its
+//! result must equal the value the program returned, or the replica has
+//! drifted from the program and the op is reported. A repeated key is a
+//! hit and is only counted. After the mirror, the real study runs on the
+//! warm context; if that costs any miss, or a different number of hits
+//! than the mirror made, the mirror's call pattern has drifted and the
+//! run warns.
 
 use std::collections::HashSet;
+use std::fmt::Debug;
 
 use cqla_circuit::{asm, Circuit, DependencyDag, Gate, ListScheduler, QubitId, Width};
+use cqla_compile::ScheduleCosts;
 use cqla_core::{
-    AreaModel, CacheSim, CqlaConfig, EvalCtx, FetchPolicy, HierarchyConfig, QlaBaseline,
+    AdderCosts, AreaModel, CacheBehavior, CacheRun, CacheSim, CqlaConfig, EvalCtx, FetchPolicy,
+    HierarchyConfig, QlaBaseline,
 };
 use cqla_ecc::fidelity::{AppSize, FidelityBudget};
 use cqla_ecc::{Code, EccMetrics, Level};
@@ -60,6 +67,18 @@ impl Table {
         }
     }
 
+    fn replica(self) -> &'static str {
+        match self {
+            Self::Ecc => "replica.ecc",
+            Self::Adder => "replica.adder",
+            Self::QlaMakespan => "replica.qla_makespan",
+            Self::Cache => "replica.cache",
+            Self::Level1Share => "replica.level1_share",
+            Self::Area => "replica.area",
+            Self::Compiled => "replica.compiled",
+        }
+    }
+
     fn hits(self) -> &'static str {
         match self {
             Self::Ecc => "eval.ecc.hits",
@@ -91,7 +110,10 @@ pub struct Mirror {
     seen: HashSet<String>,
     /// Memo calls the mirror made since the last [`Mirror::verify`].
     calls: u64,
+    /// Memo calls whose hit/miss pattern differed from the mirror's.
     pub errors: u64,
+    /// Replicas whose result differed from the program's, by span name.
+    pub mismatches: Vec<&'static str>,
 }
 
 impl Mirror {
@@ -101,32 +123,45 @@ impl Mirror {
             seen: HashSet::new(),
             calls: 0,
             errors: 0,
+            mismatches: Vec::new(),
         }
     }
 
-    fn call<R>(
+    fn call<R: PartialEq + Debug>(
         &mut self,
         rec: &mut Recorder,
         table: Table,
         key: String,
-        replica: impl FnOnce(&mut Recorder),
+        replica: impl FnOnce(&mut Recorder) -> R,
         fill: impl FnOnce(&EvalCtx) -> R,
     ) -> R {
         self.calls += 1;
         let (h0, m0) = self.ctx.counters();
+        let ctx = &self.ctx;
         let (out, miss) = if self.seen.insert(format!("{}|{key}", table.span())) {
             rec.add(table.misses(), 1.0);
-            rec.span(table.span(), replica);
-            (fill(&self.ctx), true)
+            let out = rec.span(table.span(), |_| fill(ctx));
+            let copy = rec.span(table.replica(), replica);
+            self.check(table.replica(), &copy, &out);
+            (out, true)
         } else {
             rec.add(table.hits(), 1.0);
-            (fill(&self.ctx), false)
+            (fill(ctx), false)
         };
         let (h1, m1) = self.ctx.counters();
         if (miss && m1 != m0 + 1) || (!miss && h1 != h0 + 1) {
             self.errors += 1;
         }
         out
+    }
+
+    /// Records a mismatch when a replica's result `copy` differs from
+    /// the program's `real`.
+    pub fn check<R: PartialEq + Debug>(&mut self, what: &'static str, copy: &R, real: &R) {
+        if copy != real {
+            eprintln!("cqla-tracer: {what} computed {copy:?}, the program {real:?}");
+            self.mismatches.push(what);
+        }
     }
 
     /// Runs the real study `f` on the warm context and checks that it
@@ -158,9 +193,7 @@ impl Mirror {
             rec,
             Table::Ecc,
             key,
-            |_| {
-                std::hint::black_box(EccMetrics::compute(code, level, tech));
-            },
+            |_| EccMetrics::compute(code, level, tech),
             |ctx| ctx.ecc_metrics(code, level, tech),
         );
     }
@@ -179,11 +212,12 @@ impl Mirror {
                 let schedule = rec.span("circuit.list_schedule", |_| {
                     ListScheduler::new(&dag).schedule(Width::Blocks(blocks as usize), weight)
                 });
-                std::hint::black_box((
-                    schedule.utilization(),
-                    dag.critical_path(weight),
-                    dag.total_work(weight),
-                ));
+                AdderCosts {
+                    utilization: schedule.utilization(),
+                    ideal_makespan: dag
+                        .critical_path(weight)
+                        .max(dag.total_work(weight).div_ceil(u64::from(blocks))),
+                }
             },
             |ctx| ctx.adder_costs(bits, blocks),
         );
@@ -206,7 +240,7 @@ impl Mirror {
                     ListScheduler::new(&dag)
                         .schedule(Width::Unlimited, Gate::two_qubit_gate_equivalents)
                 });
-                std::hint::black_box(s.makespan());
+                s.makespan()
             },
             |ctx| ctx.qla_adder_makespan_units(bits),
         );
@@ -226,22 +260,13 @@ impl Mirror {
                     .map(QubitId::new)
                     .collect();
                 let sim = CacheSim::new(capacity);
-                sim_run(
-                    rec,
-                    &sim,
-                    &circuit,
-                    FetchPolicy::OptimizedLookahead,
-                    &inputs,
-                    1,
-                );
-                sim_run(
-                    rec,
-                    &sim,
-                    &circuit,
-                    FetchPolicy::OptimizedLookahead,
-                    &inputs,
-                    2,
-                );
+                let policy = FetchPolicy::OptimizedLookahead;
+                let cold = sim_run(rec, &sim, &circuit, policy, &inputs, 1);
+                let warm = sim_run(rec, &sim, &circuit, policy, &inputs, 2);
+                CacheBehavior {
+                    hit_rate: warm.hit_rate(),
+                    fetches_per_addition: warm.fetch_misses() - cold.fetch_misses(),
+                }
             },
             |ctx| ctx.cache_behavior(bits, capacity),
         );
@@ -264,7 +289,7 @@ impl Mirror {
                 let shor = ShorInstance::new(bits.max(32));
                 rec.add("workloads.shor_app_size_calls", 1.0);
                 let (k, q) = rec.span("workloads.shor_app_size", |_| shor.app_size());
-                std::hint::black_box(budget.max_level1_share(AppSize::new(k, q)));
+                budget.max_level1_share(AppSize::new(k, q))
             },
             |ctx| ctx.level1_share(code, tech, bits),
         );
@@ -283,13 +308,7 @@ impl Mirror {
             rec,
             Table::Area,
             key,
-            |_| {
-                std::hint::black_box(AreaModel::new(tech).area_reduction(
-                    code,
-                    memory_qubits,
-                    blocks,
-                ));
-            },
+            |_| AreaModel::new(tech).area_reduction(code, memory_qubits, blocks),
             |ctx| ctx.area_reduction(tech, code, memory_qubits, blocks),
         );
     }
@@ -307,13 +326,15 @@ impl Mirror {
                     let s = rec.span("circuit.list_schedule", |_| {
                         ListScheduler::new(&dag).schedule(Width::Blocks(blocks as usize), weight)
                     });
-                    std::hint::black_box((
-                        s.makespan(),
-                        s.peak_parallelism(),
-                        dag.critical_path(weight),
-                        dag.depth(),
-                    ));
-                });
+                    ScheduleCosts {
+                        makespan: s.makespan(),
+                        critical_path: dag.critical_path(weight),
+                        total_work: dag.total_work(weight),
+                        depth: dag.depth(),
+                        peak_parallelism: s.peak_parallelism(),
+                        utilization: s.utilization(),
+                    }
+                })
             },
             |ctx| ctx.compiled_costs(lowered, blocks),
         );
@@ -365,9 +386,10 @@ pub fn sim_run(
     policy: FetchPolicy,
     inputs: &[QubitId],
     repeats: u32,
-) {
+) -> CacheRun {
     let run = rec.span("cache.sim_run", |_| {
         sim.run(circuit, policy, inputs, repeats)
     });
     rec.add("cache.sim_accesses", run.accesses() as f64);
+    run
 }

@@ -14,8 +14,14 @@ import oracle
 import procs
 from stats import median
 
-CLI_SETUPS = 31
-SERVER_SETUPS = 21
+CLI_SETUPS = 61
+SERVER_SETUPS = 61
+# Servers keep every result they compute, so their resident memory grows
+# with the ops a run completes. Their peak RSS is read once this many ops
+# are done (a fixed amount of work, so a faster program that completes
+# more ops in the window is not charged for the extra results), or at
+# the end of a run that completes fewer.
+RSS_AFTER_OPS = {"serve-mix": 400, "fleet-sweep": 40}
 
 
 class Result:
@@ -30,7 +36,7 @@ class Result:
         self.per_layer = {}
         self.hit_lat_ms = []
         # Per group of ops with the same cost mix (a Levels block, or a
-        # time window for serve-mix): [work, seconds, cpu seconds, ops].
+        # block of the serve-mix plan): [work, seconds, cpu seconds, ops].
         self.groups = {}
 
     def group(self, key, work, secs, cpu, ops=1):
@@ -79,6 +85,21 @@ def timed_ops(ctx, ops):
         yield op
 
 
+def measured_ops(ctx, ops):
+    """The ops a run executes: with ``--record-reference`` exactly the
+    prefix the reference digests cover, else every op until the window
+    closes."""
+    if ctx.record:
+        return itertools.islice(ops, oracle.RECORD_OPS[ctx.workload])
+    return timed_ops(ctx, ops)
+
+
+def finish_oracle(ctx, res, orc):
+    if ctx.record:
+        orc.save(oracle.RECORD_OPS[ctx.workload])
+    res.notes.update(orc.note())
+
+
 # ---------------------------------------------------------- design-sweep
 
 GOLDEN = {"grid": "grid_sweep.json", "table5": "table5.json", "fig7": "fig7.json"}
@@ -96,7 +117,7 @@ def check_design(orc, op, r):
     clauses = op["spec"].split()
     reason = oracle.check_grid_doc(r.stdout, "machine", oracle.count_points(clauses),
                                    oracle.machine_params(clauses))
-    return reason or orc.digest("machine " + op["spec"], r.stdout)
+    return reason or orc.digest(op["id"], r.stdout)
 
 
 def design_points(op):
@@ -110,8 +131,7 @@ def run_cli_workload(ctx, res, ops, argv, check, work, stdin=None):
         res.op(r.wall_s, check(orc, op, r))
         res.group(op["group"], work(op), r.wall_s, r.cpu_s)
         account(res, r)
-    if ctx.record:
-        orc.save()
+    finish_oracle(ctx, res, orc)
 
 
 def run_design(ctx):
@@ -120,7 +140,7 @@ def run_design(ctx):
     cli_setup(ctx, res)
     if ctx.trace:
         return trace_replay(ctx, res, gen.design_ops(ctx.seed), gen.design_argv, None)
-    run_cli_workload(ctx, res, timed_ops(ctx, gen.design_ops(ctx.seed)), gen.design_argv,
+    run_cli_workload(ctx, res, measured_ops(ctx, gen.design_ops(ctx.seed)), gen.design_argv,
                      check_design, design_points)
     return res
 
@@ -136,7 +156,7 @@ def check_compile(orc, op, r):
     reason = cli_reason(r) or oracle.check_compile_doc(r.stdout, op)
     if reason:
         return reason
-    return orc.digest(f"compile {oracle.sha(op['program'].encode())} width={op['width']}", r.stdout)
+    return orc.digest(op["id"], r.stdout)
 
 
 def run_compile(ctx):
@@ -145,7 +165,7 @@ def run_compile(ctx):
     cli_setup(ctx, res)
     if ctx.trace:
         return trace_replay(ctx, res, gen.compile_ops(ctx.seed), compile_argv, lambda op: op["program"])
-    run_cli_workload(ctx, res, timed_ops(ctx, gen.compile_ops(ctx.seed)), compile_argv,
+    run_cli_workload(ctx, res, measured_ops(ctx, gen.compile_ops(ctx.seed)), compile_argv,
                      check_compile, lambda op: op["gates"], stdin=lambda op: op["program"])
     return res
 
@@ -156,7 +176,10 @@ def run_compile(ctx):
 def trace_replay(ctx, res, ops, argv, stdin):
     """Replays the workload's ops in-process under spans for half the
     window, then runs the same ops through the CLI untraced, so each
-    replay's per-op total sits beside the op's untraced latency."""
+    replay's per-op total sits beside the op's untraced latency. An op on
+    which one of the tracer's replicas computed a different value from
+    the program fails: its per-layer figures would not be the
+    program's."""
     replay_ops = list(itertools.islice(ops, 400))
     path = os.path.join(ctx.work, f"{ctx.workload}-ops.jsonl")
     with open(path, "w") as f:
@@ -167,10 +190,15 @@ def trace_replay(ctx, res, ops, argv, stdin):
     cli_ms = []
     orc = oracle.Oracle(ctx.root, ctx.workload, ctx.seed)
     check = check_design if ctx.workload == "design-sweep" else check_compile
+    mismatched = {int(i) for i in out["mismatch_ops"]}
     for op in replay_ops[:n]:
         r = procs.run_cli(ctx.cqla, argv(op), stdin(op) if stdin else None)
-        res.op(r.wall_s, check(orc, op, r))
+        reason = check(orc, op, r)
+        if op["id"] in mismatched:
+            reason = reason or f"op {op['id']}: a tracer replica disagrees with the program"
+        res.op(r.wall_s, reason)
         cli_ms.append(r.wall_s * 1e3)
+    res.notes.update(orc.note())
     replay = out["replay_op_ms"]
     res.per_layer.update(out["metrics"])
     res.per_layer["trace.replay_op_ms"] = median(replay)
@@ -181,7 +209,6 @@ def trace_replay(ctx, res, ops, argv, stdin):
 
 # ------------------------------------------------------------- serve-mix
 
-WINDOW = 2.0
 CLASSES = ("run_hit", "run_miss", "grid_stream", "compile", "job", "rejected")
 STATS = ("cache_hits", "cache_misses", "coalesced", "cache_evictions", "compile_cache_hits")
 
@@ -197,6 +224,8 @@ class ServeClient:
     def run(self, next_op, end):
         while time.perf_counter() < end:
             op = next_op()
+            if op is None:
+                break
             t0 = time.perf_counter()
             cls, first, reason, hit, reqs = self.execute(op)
             lat = time.perf_counter() - t0
@@ -215,19 +244,19 @@ class ServeClient:
             return ("run_hit" if hit else "run_miss"), resp.t_first, reason, hit, 1
         if kind == "cold":
             resp = self.conn.request("GET", op["path"])
-            reason = served(resp, 200) or machine_doc(resp.body) or sh.orc.digest(op["path"], resp.body)
+            reason = served(resp, 200) or machine_doc(resp.body) or sh.orc.digest(op["id"], resp.body)
             return "run_miss", resp.t_first, reason, False, 1
         if kind == "grid":
             resp = self.conn.request("GET", op["path"])
             reason = served(resp, 200) or chunk_count(resp, op["points"]) or oracle.check_grid_doc(
-                resp.body, "machine", op["points"], query_params(op["path"])) or sh.orc.digest(op["path"], resp.body)
+                resp.body, "machine", op["points"], query_params(op["path"])) or sh.orc.digest(op["id"], resp.body)
             return "grid_stream", resp.t_first, reason, False, 1
         if kind == "compile":
             key = f"compile {oracle.sha(op['program'].encode())} width={op['width']}"
             hit = sh.seen(key)
             resp = self.conn.request("POST", op["path"], op["program"])
             reason = served(resp, 200) or oracle.check_compile_doc(resp.body, op) or sh.same(key, resp.body) \
-                or sh.orc.digest(key, resp.body)
+                or sh.orc.digest(op["id"], resp.body)
             return "compile", resp.t_first, reason, hit, 1
         if kind == "job":
             return self.job(op)
@@ -254,7 +283,7 @@ class ServeClient:
         reason = served(resumed, 200) or (
             None if resumed.body == b"".join(full.chunks[1 + k:])
             else f"job stream resumed at {k} does not match the full stream's tail")
-        reason = reason or self.shared.orc.digest("job " + op["body"], full.body)
+        reason = reason or self.shared.orc.digest(op["id"], full.body)
         return "job", create.t_first, reason, False, 3
 
 
@@ -288,16 +317,21 @@ def query_params(path):
 
 
 class ServeShared:
-    def __init__(self, orc, ops):
+    def __init__(self, orc, ops, pid):
         self.lock = threading.Lock()
-        self.orc, self.ops = orc, ops
+        self.orc, self.ops, self.pid = orc, ops, pid
         self.keys, self.bodies = set(), {}
         self.samples = []
         self.requests = 0
+        # (time, server CPU seconds, requests) at the start and after every
+        # block of the plan, so each group has the same mix of ops.
+        self.marks = [(time.perf_counter(), procs.proc_cpu_s(pid), 0)]
+        self.hwm_mb = None
 
     def next_op(self):
+        """The next op, or ``None`` once a finite stream is used up."""
         with self.lock:
-            return next(self.ops)
+            return next(self.ops, None)
 
     def seen(self, key):
         with self.lock:
@@ -315,10 +349,11 @@ class ServeShared:
         with self.lock:
             self.samples.append((cls, first, lat, reason, hit, reqs))
             self.requests += reqs
-
-    def progress(self):
-        with self.lock:
-            return len(self.samples), self.requests
+            n = len(self.samples)
+            if n % len(gen.SERVE_PLAN) == 0:
+                self.marks.append((time.perf_counter(), procs.proc_cpu_s(self.pid), self.requests))
+            if n == RSS_AFTER_OPS["serve-mix"]:
+                self.hwm_mb = procs.proc_hwm_mb(self.pid)
 
 
 def stats_doc(addr):
@@ -342,35 +377,31 @@ def run_serve(ctx):
         orc = oracle.Oracle(ctx.root, ctx.workload, ctx.seed, ctx.record)
         ops_iter = gen.serve_ops(ctx.seed)
         pre = list(itertools.islice(ops_iter, 1500))
-        shared = ServeShared(orc, itertools.chain(pre, ops_iter))
-        stats0, cpu0 = stats_doc(server.addr), procs.proc_cpu_s(server.pid)
+        stream = itertools.chain(pre, ops_iter)
+        if ctx.record:
+            stream = itertools.islice(stream, oracle.RECORD_OPS[ctx.workload])
+        stats0 = stats_doc(server.addr)
+        shared = ServeShared(orc, stream, server.pid)
         clients = [ServeClient(server.addr, shared) for _ in range(ctx.nproc)]
-        t0 = time.perf_counter()
-        end = t0 + ctx.seconds
+        end = float("inf") if ctx.record else time.perf_counter() + ctx.seconds
         threads = [threading.Thread(target=c.run, args=(shared.next_op, end)) for c in clients]
         for t in threads:
             t.start()
-        # Sample server CPU and client progress every WINDOW seconds; each
-        # window is one group for the rate and CPU medians.
-        last = (t0, cpu0, 0, 0)
-        while any(t.is_alive() for t in threads):
-            threads[0].join(timeout=max(0.0, min(WINDOW - (time.perf_counter() - last[0]), end - time.perf_counter())))
-            now = time.perf_counter()
-            if now - last[0] >= WINDOW or not any(t.is_alive() for t in threads):
-                ops, reqs = shared.progress()
-                cpu = procs.proc_cpu_s(server.pid)
-                if ops > last[2]:
-                    res.group(len(res.groups), reqs - last[3], now - last[0], cpu - last[1], ops - last[2])
-                last = (now, cpu, ops, reqs)
         for t in threads:
             t.join()
+        block = len(gen.SERVE_PLAN)
+        if len(shared.marks) == 1:
+            # Not one whole block in the window: the run is one group.
+            block = len(shared.samples)
+            shared.marks.append((time.perf_counter(), procs.proc_cpu_s(server.pid), shared.requests))
+        for (t0, c0, r0), (t1, c1, r1) in zip(shared.marks, shared.marks[1:]):
+            res.group(len(res.groups), r1 - r0, t1 - t0, c1 - c0, block)
         stats1 = stats_doc(server.addr)
-        res.rss_mb = procs.proc_hwm_mb(server.pid)
+        res.rss_mb = shared.hwm_mb or procs.proc_hwm_mb(server.pid)
     finally:
         if server:
             server.stop()
-    if ctx.record:
-        orc.save()
+    finish_oracle(ctx, res, orc)
     by_class = {c: [] for c in CLASSES}
     for cls, first, lat, reason, hit, reqs in shared.samples:
         res.op(lat, reason)
@@ -447,7 +478,10 @@ def run_fleet(ctx):
                 w.stop()
             workers, setup = procs.start_fleet(ctx.cqla, WORKERS, 1)
             res.setup_s.append(setup)
-        for op in timed_ops(ctx, gen.fleet_ops(ctx.seed)):
+        workers_mb = None
+        for op in measured_ops(ctx, gen.fleet_ops(ctx.seed)):
+            if len(done) == RSS_AFTER_OPS["fleet-sweep"]:
+                workers_mb = max(procs.proc_hwm_mb(w.pid) for w in workers)
             b0 = sum(procs.proc_cpu_s(w.pid) for w in workers)
             r = procs.run_cli(ctx.cqla, fleet_argv(op, workers))
             busy = sum(procs.proc_cpu_s(w.pid) for w in workers) - b0
@@ -457,7 +491,9 @@ def run_fleet(ctx):
             dist["makespan"].append(r.wall_s * 1e3)
             dist["busy"].append(busy)
             dist["idle"].append(max(0.0, 1 - busy / (r.wall_s * WORKERS)))
-        res.rss_mb = max([res.rss_mb] + [procs.proc_hwm_mb(w.pid) for w in workers])
+        if workers_mb is None:
+            workers_mb = max(procs.proc_hwm_mb(w.pid) for w in workers)
+        res.rss_mb = max(res.rss_mb, workers_mb)
     finally:
         for w in workers:
             w.stop()
@@ -470,10 +506,9 @@ def run_fleet(ctx):
         reason = cli_reason(r) or cli_reason(local)
         if not reason and r.stdout != local.stdout:
             reason = f"fleet document differs from the single-process run of {op['args']}"
-        reason = reason or orc.digest(" ".join(op["args"]), r.stdout)
+        reason = reason or orc.digest(op["id"], r.stdout)
         res.op(r.wall_s, reason)
-    if ctx.record:
-        orc.save()
+    finish_oracle(ctx, res, orc)
     if ctx.trace:
         pl = res.per_layer
         pl["dist.makespan_ms"] = median(dist["makespan"])
