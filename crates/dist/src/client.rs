@@ -121,23 +121,7 @@ pub fn read_chunk(reader: &mut impl BufRead) -> io::Result<Option<String>> {
 /// malformed framing.
 pub fn read_response(reader: &mut impl BufRead) -> io::Result<HttpResponse> {
     let (status, head) = read_head(reader)?;
-    let body = if head_is_chunked(&head) {
-        let mut out = String::new();
-        while let Some(chunk) = read_chunk(reader)? {
-            out.push_str(&chunk);
-        }
-        out
-    } else {
-        let len: usize = head
-            .to_ascii_lowercase()
-            .lines()
-            .find_map(|l| l.strip_prefix("content-length: "))
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(0);
-        let mut body = vec![0u8; len];
-        reader.read_exact(&mut body)?;
-        String::from_utf8(body).map_err(|_| invalid("body is not UTF-8".to_owned()))?
-    };
+    let body = read_response_body(reader, &head)?;
     Ok(HttpResponse { status, head, body })
 }
 
@@ -255,14 +239,8 @@ impl Client {
         let (status, head) = read_head(&mut reader)?;
         if status != 200 || !head_is_chunked(&head) {
             // Small framed body: error document or a non-streamed 200.
-            let mut whole = HttpResponse {
-                status,
-                head,
-                body: String::new(),
-            };
-            let tail = read_response_body(&mut reader, &whole.head)?;
-            whole.body = tail;
-            return Ok(whole);
+            let body = read_response_body(&mut reader, &head)?;
+            return Ok(HttpResponse { status, head, body });
         }
         while let Some(chunk) = read_chunk(&mut reader)? {
             on_chunk(&chunk);
@@ -276,7 +254,8 @@ impl Client {
 }
 
 /// Reads a response body whose head has already been consumed —
-/// shared by [`read_response`] and the streaming fallback.
+/// `Content-Length`-framed or de-chunked — shared by
+/// [`read_response`] and the streaming fallback.
 fn read_response_body(reader: &mut impl BufRead, head: &str) -> io::Result<String> {
     if head_is_chunked(head) {
         let mut out = String::new();

@@ -210,8 +210,8 @@ struct Sched {
 /// [`DistError`] when the fleet cannot complete the grid: no workers,
 /// a protocol rejection, or every worker dead.
 pub fn run_grid(grid: &Grid, config: &FleetConfig) -> Result<DistRun, DistError> {
-    let prologue = grid::document_prologue(grid.id(), grid.spec(), grid.len());
-    run_work(Work::Grid(grid.clone()), prologue, grid.len(), config)
+    let head = grid::grid_head(grid.id(), grid.spec(), grid.len());
+    run_work(Work::Grid(grid.clone()), &head, config)
 }
 
 /// Executes a design-space sweep across the fleet.
@@ -221,21 +221,13 @@ pub fn run_grid(grid: &Grid, config: &FleetConfig) -> Result<DistRun, DistError>
 /// [`DistError`] when the fleet cannot complete the sweep: no
 /// workers, a protocol rejection, or every worker dead.
 pub fn run_sweep(sweep: &Sweep, config: &FleetConfig) -> Result<DistRun, DistError> {
-    let prologue = engine::sweep_prologue(sweep.name(), sweep.len());
-    run_work(
-        Work::Sweep(sweep.points().to_vec()),
-        prologue,
-        sweep.len(),
-        config,
-    )
+    let head = engine::sweep_head(sweep.name(), sweep.len());
+    run_work(Work::Sweep(sweep.points().to_vec()), &head, config)
 }
 
-fn run_work(
-    work: Work,
-    prologue: String,
-    total: usize,
-    config: &FleetConfig,
-) -> Result<DistRun, DistError> {
+/// Runs `work` across the fleet and merges its fragments under the
+/// full document's `head`, framed like every streamed document.
+fn run_work(work: Work, head: &json::Json, config: &FleetConfig) -> Result<DistRun, DistError> {
     if config.workers.is_empty() {
         return Err(DistError {
             worker: None,
@@ -272,7 +264,7 @@ fn run_work(
         queue,
         alive: config.workers.len(),
         fatal: None,
-        slots: (0..total).map(|_| None).collect(),
+        slots: (0..work.len()).map(|_| None).collect(),
         passed: true,
     });
     let cv = Condvar::new();
@@ -285,7 +277,7 @@ fn run_work(
     if let Some(fatal) = sched.fatal {
         return Err(fatal);
     }
-    let mut document = prologue;
+    let mut document = grid::prologue(head);
     for (index, slot) in sched.slots.iter().enumerate() {
         let fragment = slot.as_ref().ok_or_else(|| DistError {
             worker: None,
@@ -490,6 +482,12 @@ fn create_job(addr: &str, client: &Client, unit: &Unit) -> Result<String, CallEr
         .ok_or_else(|| CallError::Fatal(format!("POST {route}: job document names no job")))
 }
 
+/// Streams one job's fragments into the unit's slots, resuming after
+/// the `collected` fragments already landed. A worker that breaks the
+/// framing — more fragments than its shard has, anything after the
+/// epilogue, or an epilogue before the shard is complete — is a fatal
+/// protocol error, never an out-of-bounds write into a neighbour's
+/// slots.
 fn stream_unit(
     addr: &str,
     client: &Client,
@@ -499,18 +497,30 @@ fn stream_unit(
     sched: &Mutex<Sched>,
 ) -> Result<(), CallError> {
     let target = format!("/v1/jobs/{jid}/stream?from={collected}");
+    let expected = unit.work.len();
     let mut complete = false;
-    let response = client
-        .stream(addr, &target, |chunk| {
-            if chunk.starts_with('{') {
-                // The shard's own prologue: it describes the shard,
-                // not the merged grid, so it never enters the merge.
-                return;
+    let mut violation = None;
+    let response = client.stream(addr, &target, |chunk| {
+        if violation.is_some() {
+            return;
+        }
+        if complete {
+            violation = Some("data after the document epilogue".to_owned());
+        } else if chunk.starts_with('{') {
+            // The shard's own prologue: it describes the shard, not
+            // the merged grid, so it never enters the merge.
+        } else if chunk == grid::DOCUMENT_EPILOGUE {
+            complete = true;
+            if *collected != expected {
+                violation = Some(format!(
+                    "epilogue after {collected} of the shard's {expected} fragment(s)"
+                ));
             }
-            if chunk == grid::DOCUMENT_EPILOGUE {
-                complete = true;
-                return;
-            }
+        } else if *collected == expected {
+            violation = Some(format!(
+                "more fragments than the shard's {expected} point(s)"
+            ));
+        } else {
             // A fragment. Normalize away the shard-local separator;
             // the merger re-adds commas by global index.
             let fragment = chunk.strip_prefix(',').unwrap_or(chunk);
@@ -518,8 +528,12 @@ fn stream_unit(
             let mut state = sched.lock().expect("scheduler lock");
             state.slots[index] = Some(fragment.to_owned());
             *collected += 1;
-        })
-        .map_err(|e| CallError::Retry(format!("GET {target}: {e}")))?;
+        }
+    });
+    if let Some(violation) = violation {
+        return Err(CallError::Fatal(format!("GET {target}: {violation}")));
+    }
+    let response = response.map_err(|e| CallError::Retry(format!("GET {target}: {e}")))?;
     if response.status != 200 {
         return Err(classify_status(
             response.status,

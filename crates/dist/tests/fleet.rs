@@ -5,7 +5,8 @@
 //! with retries, and `retries: 0` failing loudly with the worker
 //! named.
 
-use std::net::SocketAddr;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpListener};
 use std::time::Duration;
 
 use cqla_core::experiments::{find, Grid};
@@ -151,6 +152,84 @@ fn protocol_rejections_are_fatal_not_retried() {
     // And the grid path still completes, proving the worker survived.
     let run = run_grid(&grid, &fleet).expect("fleet completes");
     assert!(run.passed());
+}
+
+/// A raw-TCP stand-in for a worker that accepts a job (202) and then
+/// streams `chunks` as the job's chunked body: it serves exactly those
+/// two requests, then closes its port so any further request fails.
+fn fake_worker(chunks: Vec<String>) -> (String, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let server = std::thread::spawn(move || {
+        for conn in listener.incoming().take(2) {
+            let Ok(mut conn) = conn else { continue };
+            let mut reader = BufReader::new(conn.try_clone().expect("clone socket"));
+            let mut request_line = String::new();
+            let _ = reader.read_line(&mut request_line);
+            let mut length = 0;
+            loop {
+                let mut line = String::new();
+                if reader.read_line(&mut line).unwrap_or(0) == 0 || line == "\r\n" {
+                    break;
+                }
+                if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
+                    length = v.trim().parse().unwrap_or(0);
+                }
+            }
+            let _ = reader.read_exact(&mut vec![0; length]);
+            let response = if request_line.starts_with("POST") {
+                let body = r#"{"job": "j1"}"#;
+                format!(
+                    "HTTP/1.1 202 Accepted\r\nContent-Length: {}\r\n\
+                     Connection: close\r\n\r\n{body}",
+                    body.len()
+                )
+            } else {
+                let mut out = "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\
+                               Connection: close\r\n\r\n"
+                    .to_owned();
+                for chunk in &chunks {
+                    out.push_str(&format!("{:x}\r\n{chunk}\r\n", chunk.len()));
+                }
+                out + "0\r\n\r\n"
+            };
+            let _ = conn.write_all(response.as_bytes());
+        }
+    });
+    (addr, server)
+}
+
+#[test]
+fn workers_that_break_the_stream_framing_are_fatal_and_named() {
+    let grid = Grid::parse("fig2", &find("fig2").unwrap().specs(), "bits=8,16").unwrap();
+    let fragment = |i: usize| format!(",\n    {{\"i\": {i}}}");
+    let prologue = "{\n  \"artifact\": \"fig2\",\n  \"results\": [".to_owned();
+    let epilogue = cqla_sweep::grid::DOCUMENT_EPILOGUE.to_owned();
+    // One fragment more than the two-point shard holds…
+    let overlong = [
+        prologue.clone(),
+        fragment(0),
+        fragment(1),
+        fragment(2),
+        epilogue.clone(),
+    ];
+    // …and a fragment after a well-formed document's epilogue.
+    let trailing = [prologue, fragment(0), fragment(1), epilogue, fragment(2)];
+    for (chunks, expected) in [
+        (overlong, "more fragments than the shard's 2 point(s)"),
+        (trailing, "after the document epilogue"),
+    ] {
+        let (addr, server) = fake_worker(chunks.to_vec());
+        let err = run_grid(&grid, &FleetConfig::new(vec![addr.clone()]))
+            .expect_err("a framing violation must fail the run");
+        server.join().expect("fake worker exits");
+        assert_eq!(err.worker.as_deref(), Some(addr.as_str()), "{err}");
+        assert!(err.message.contains(expected), "{err}");
+        assert!(
+            !err.message.contains("retries"),
+            "fatal, not retried: {err}"
+        );
+    }
 }
 
 #[test]

@@ -52,9 +52,9 @@ use cqla_core::experiments::{
     find, ids, is_set_clause, listing_json, params_usage, suggest, Experiment, Grid,
 };
 use cqla_core::Json;
-use cqla_sweep::engine::{sweep_fragment, sweep_prologue};
-use cqla_sweep::grid::{document_prologue, point_fragment, PointSink, DOCUMENT_EPILOGUE};
-use cqla_sweep::{GridRun, PointCache, Sweep, SweepRun, SweepSink};
+use cqla_sweep::engine::sweep_head;
+use cqla_sweep::grid::{grid_head, prologue, DOCUMENT_EPILOGUE};
+use cqla_sweep::{GridRun, PointCache, PointSink, Sweep, SweepRun};
 
 use crate::http::{self, read_request, ChunkedWriter, Request, RequestError, Response, Status};
 
@@ -279,6 +279,73 @@ impl Drop for FlightGuard<'_> {
             abandon_flight(self.shared, &self.key);
         }
     }
+}
+
+impl FlightGuard<'_> {
+    /// Ends the flight with a cacheable body (see [`resolve_flight`]).
+    fn resolve(mut self, body: Arc<String>) {
+        self.armed = false;
+        resolve_flight(self.shared, &self.key, body);
+    }
+}
+
+/// Reads `key` through the results cache — the one lookup behind
+/// single runs, compiles and grid points. A hit or a coalesced wait is
+/// counted and answered with the stored body (`Ok((body, true))` for a
+/// hit, `false` for a coalesced wait). A cold miss hands back the key's
+/// flight as an armed [`FlightGuard`]: the caller resolves it with a
+/// body, or drops it to abandon.
+fn read_through(shared: &Shared, key: String) -> Result<(Arc<String>, bool), FlightGuard<'_>> {
+    match lookup(shared, &key) {
+        Lookup::Hit(body) => {
+            shared.cache_hits.fetch_add(1, Ordering::Relaxed);
+            Ok((body, true))
+        }
+        Lookup::Coalesced(body) => {
+            shared.coalesced.fetch_add(1, Ordering::Relaxed);
+            Ok((body, false))
+        }
+        Lookup::Owned => Err(FlightGuard {
+            shared,
+            key,
+            armed: true,
+        }),
+    }
+}
+
+/// Runs `experiment` with `params` (sorted, the cache key's order)
+/// through the results cache: a hit or coalesced wait answers without
+/// running; a cold miss applies the params, runs, and caches the body
+/// when the run passed — failing runs (a broken `verify`) are never
+/// cached, since cached bodies carry no verdict and the grid executor
+/// reports hits as passed. Returns the body and whether it was a plain
+/// cache hit; a rejected param is a 400 that abandons the flight.
+fn cached_run(
+    shared: &Shared,
+    id: &str,
+    mut experiment: Box<dyn Experiment>,
+    params: &[(String, String)],
+) -> Result<(Arc<String>, bool), Response> {
+    let flight = match read_through(shared, canonical_key(id, params)) {
+        Ok(answer) => return Ok(answer),
+        Err(flight) => flight,
+    };
+    for (param, value) in params {
+        experiment.set(param, value).map_err(|e| {
+            Response::error(
+                Status::BadRequest,
+                e.to_string(),
+                Some(format!("{id} takes: {}", params_usage(experiment.as_ref()))),
+            )
+        })?;
+    }
+    let output = experiment.run();
+    let body = Arc::new(format!("{}\n", output.document(id).to_pretty()));
+    shared.cache_misses.fetch_add(1, Ordering::Relaxed);
+    if output.passed {
+        flight.resolve(Arc::clone(&body));
+    }
+    Ok((body, false))
 }
 
 /// One background sweep job: a grid run on its own thread, its
@@ -830,7 +897,7 @@ fn stats_json(shared: &Shared) -> Json {
 /// pins) fans out into a streamed grid run instead — its concatenated
 /// chunks byte-identical to `cqla run <id> key=value-set… --format json`.
 fn run_endpoint(id: &str, query: &[(String, String)], shared: &Shared) -> Routed {
-    let Some(mut experiment) = find(id) else {
+    let Some(experiment) = find(id) else {
         return Routed::Full(unknown_artifact(id));
     };
     if query.iter().any(|(k, v)| is_set_clause(k, v)) {
@@ -846,46 +913,10 @@ fn run_endpoint(id: &str, query: &[(String, String)], shared: &Shared) -> Routed
     }
     let mut params: Vec<(String, String)> = query.to_vec();
     params.sort();
-    let key = canonical_key(id, &params);
-    match lookup(shared, &key) {
-        Lookup::Hit(body) => {
-            shared.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Routed::Full(Response::shared(body));
-        }
-        Lookup::Coalesced(body) => {
-            shared.coalesced.fetch_add(1, Ordering::Relaxed);
-            return Routed::Full(Response::shared(body));
-        }
-        Lookup::Owned => {}
-    }
-    // We own the flight now; the guard abandons it on every path that
-    // does not produce a cacheable body (param errors, failed checks,
-    // a panicking run).
-    let mut guard = FlightGuard {
-        shared,
-        key,
-        armed: true,
-    };
-    for (param, value) in &params {
-        if let Err(e) = experiment.set(param, value) {
-            return Routed::Full(Response::error(
-                Status::BadRequest,
-                e.to_string(),
-                Some(format!("{id} takes: {}", params_usage(experiment.as_ref()))),
-            ));
-        }
-    }
-    let output = experiment.run();
-    let body = Arc::new(format!("{}\n", output.document(id).to_pretty()));
-    shared.cache_misses.fetch_add(1, Ordering::Relaxed);
-    // Failing runs (a broken `verify`) are never cached: cached bodies
-    // carry no verdict, and the grid executor reports hits as passed.
-    if output.passed {
-        guard.armed = false;
-        resolve_flight(shared, &guard.key, Arc::clone(&body));
-    }
-    drop(guard);
-    Routed::Full(Response::shared(body))
+    Routed::Full(match cached_run(shared, id, experiment, &params) {
+        Ok((body, _)) => Response::shared(body),
+        Err(response) => response,
+    })
 }
 
 fn unknown_artifact(id: &str) -> Response {
@@ -915,16 +946,14 @@ impl SharedPointCache<'_> {
 
 impl PointCache for SharedPointCache<'_> {
     fn get(&self, overrides: &[(String, String)]) -> Option<String> {
-        match lookup(self.shared, &self.key(overrides)) {
-            Lookup::Hit(body) => {
-                self.shared.cache_hits.fetch_add(1, Ordering::Relaxed);
-                Some((*body).clone())
+        match read_through(self.shared, self.key(overrides)) {
+            Ok((body, _)) => Some((*body).clone()),
+            // The grid executor ends this flight through `put` or
+            // `abandon` (the `PointCache` single-flight contract).
+            Err(mut flight) => {
+                flight.armed = false;
+                None
             }
-            Lookup::Coalesced(body) => {
-                self.shared.coalesced.fetch_add(1, Ordering::Relaxed);
-                Some((*body).clone())
-            }
-            Lookup::Owned => None,
         }
     }
 
@@ -957,20 +986,26 @@ fn parse_grid(experiment: &dyn Experiment, expr: &str) -> Result<Grid, Response>
 /// chunks are the same merged document the grid-query form of
 /// `GET /v1/run/{id}` produces.
 fn sweep_grid_endpoint(id: &str, body: &[u8]) -> Routed {
+    match grid_from_body(id, body) {
+        Ok(grid) => Routed::GridStream(grid),
+        Err(response) => Routed::Full(response),
+    }
+}
+
+/// Parses a request body as a grid expression over experiment `id` —
+/// the body format of `POST /v1/sweep/{id}` and `POST /v1/jobs/{id}`.
+fn grid_from_body(id: &str, body: &[u8]) -> Result<Grid, Response> {
     let Some(experiment) = find(id) else {
-        return Routed::Full(unknown_artifact(id));
+        return Err(unknown_artifact(id));
     };
     let Ok(expr) = core::str::from_utf8(body) else {
-        return Routed::Full(Response::error(
+        return Err(Response::error(
             Status::BadRequest,
             "grid expression is not UTF-8",
             None,
         ));
     };
-    match parse_grid(experiment.as_ref(), expr.trim()) {
-        Ok(grid) => Routed::GridStream(grid),
-        Err(response) => Routed::Full(response),
-    }
+    parse_grid(experiment.as_ref(), expr.trim())
 }
 
 /// Streams one [`PointSink`] fragment per completed point into a
@@ -982,11 +1017,10 @@ struct StreamSink<'w, W: std::io::Write> {
 }
 
 impl<W: std::io::Write + Send> PointSink for StreamSink<'_, W> {
-    fn point(&self, index: usize, point: &cqla_sweep::grid::GridPoint) {
+    fn fragment(&self, _index: usize, fragment: String) {
         if self.failed.load(Ordering::Relaxed) {
             return;
         }
-        let fragment = point_fragment(index, point);
         let mut writer = self.writer.lock().expect("stream writer lock");
         if writer.chunk(&fragment).is_err() {
             self.failed.store(true, Ordering::Relaxed);
@@ -1010,7 +1044,7 @@ fn stream_grid(
     let total = grid.points().len();
     let mut w: &TcpStream = stream;
     let mut body = ChunkedWriter::start(&mut w, Status::Ok, close)?;
-    body.chunk(&document_prologue(grid.id(), grid.spec(), total))?;
+    body.chunk(&prologue(&grid_head(grid.id(), grid.spec(), total)))?;
     let cache = SharedPointCache {
         shared,
         id: grid.id(),
@@ -1165,20 +1199,24 @@ fn jobs_create_endpoint(
     shared: &Arc<Shared>,
     pool_threads: usize,
 ) -> Response {
-    let Some(experiment) = find(id) else {
-        return unknown_artifact(id);
-    };
-    let Ok(expr) = core::str::from_utf8(body) else {
-        return Response::error(Status::BadRequest, "grid expression is not UTF-8", None);
-    };
-    let grid = match parse_grid(experiment.as_ref(), expr.trim()) {
+    let grid = match grid_from_body(id, body) {
         Ok(grid) => grid,
         Err(response) => return response,
     };
-    let total = grid.points().len();
-    let prologue = document_prologue(id, grid.spec(), total);
-    start_job(shared, id, grid.spec().to_owned(), total, prologue, {
-        move |shared, job| run_job(&shared, &job, &grid, pool_threads)
+    let (spec, total) = (grid.spec().to_owned(), grid.len());
+    let prologue = prologue(&grid_head(id, &spec, total));
+    start_job(shared, id, spec, total, prologue, move |shared, sink| {
+        let cache = SharedPointCache {
+            shared,
+            id: grid.id(),
+        };
+        let run = GridRun::execute_streamed(&grid, pool_threads, &cache, sink);
+        // Park the merged document in the LRU next to its points.
+        let merged = Arc::new(format!("{}\n", run.to_json().to_pretty()));
+        let key = grid_document_key(grid.id(), grid.spec());
+        let evicted = shared.cache.lock().expect("cache lock").insert(key, merged);
+        shared.cache_evictions.fetch_add(evicted, Ordering::Relaxed);
+        run.passed()
     })
 }
 
@@ -1202,17 +1240,21 @@ fn jobs_create_sweep_endpoint(body: &[u8], shared: &Arc<Shared>, pool_threads: u
             )
         }
     };
-    let total = sweep.len();
-    let prologue = sweep_prologue(sweep.name(), total);
-    let spec = sweep.name().to_owned();
-    start_job(shared, "sweep", spec, total, prologue, {
-        move |shared, job| run_sweep_job(&shared, &job, &sweep, pool_threads)
+    let (spec, total) = (sweep.name().to_owned(), sweep.len());
+    let prologue = prologue(&sweep_head(&spec, total));
+    // Sweeps carry no pass/fail verdict: completing is passing.
+    start_job(shared, "sweep", spec, total, prologue, move |_, sink| {
+        let _run = SweepRun::execute_streamed(&sweep, pool_threads, sink);
+        true
     })
 }
 
 /// Registers a job under the next id, bumps the active gauge, and
-/// starts its runner thread — the shared tail of both job-creation
-/// endpoints. The runner must end with [`finish_job`]. Creation past
+/// starts its thread — the one job runner behind both job-creation
+/// endpoints. The thread runs `execute` with the job's [`JobSink`]
+/// behind a panic barrier and always ends in [`finish_job`]: a
+/// panicking run marks the job failed, so streams and shutdown never
+/// wait forever. `execute` returns the run's verdict. Creation past
 /// [`MAX_ACTIVE_JOBS`] is refused with a 503.
 fn start_job(
     shared: &Arc<Shared>,
@@ -1220,7 +1262,7 @@ fn start_job(
     spec: String,
     total: usize,
     prologue: String,
-    runner: impl FnOnce(Arc<Shared>, Arc<Job>) + Send + 'static,
+    execute: impl FnOnce(&Shared, &JobSink) -> bool + Send + 'static,
 ) -> Response {
     if shared.jobs_active.load(Ordering::Relaxed) >= MAX_ACTIVE_JOBS as u64 {
         return Response::error(
@@ -1253,7 +1295,14 @@ fn start_job(
     let handle = std::thread::spawn({
         let shared = Arc::clone(shared);
         let job = Arc::clone(&job);
-        move || runner(shared, job)
+        move || {
+            let sink = JobSink { job: &job };
+            let passed = catch_unwind(AssertUnwindSafe(|| execute(&shared, &sink)));
+            if passed.is_err() {
+                eprintln!("cqla-serve: job {} panicked; marked failed", job.id);
+            }
+            finish_job(&shared, &job, passed.unwrap_or(false));
+        }
     });
     shared
         .job_threads
@@ -1266,87 +1315,23 @@ fn start_job(
     }
 }
 
-/// Appends each completed point's fragment to the job log and wakes
-/// pollers/streamers.
+/// Appends each completed result's fragment to the job log and wakes
+/// pollers/streamers — the one sink behind grid and sweep jobs.
 struct JobSink<'a> {
     job: &'a Job,
 }
 
 impl PointSink for JobSink<'_> {
-    fn point(&self, index: usize, point: &cqla_sweep::grid::GridPoint) {
-        let fragment = point_fragment(index, point);
+    fn fragment(&self, index: usize, fragment: String) {
         let mut state = self.job.state.lock().expect("job state lock");
         debug_assert_eq!(state.fragments.len(), index, "fragments arrive in order");
         state.fragments.push(fragment);
         self.job.cv.notify_all();
     }
-}
-
-/// The job thread: execute the grid through the shared point cache,
-/// park the merged document in the LRU, mark the job done, apply
-/// retention. A panicking run still marks the job done (failed) so
-/// streams and shutdown never wait forever.
-fn run_job(shared: &Arc<Shared>, job: &Arc<Job>, grid: &Grid, pool_threads: usize) {
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let cache = SharedPointCache {
-            shared,
-            id: &job.artifact,
-        };
-        let sink = JobSink { job };
-        GridRun::execute_streamed(grid, pool_threads, &cache, &sink)
-    }));
-    let passed = match &outcome {
-        Ok(run) => {
-            let merged = Arc::new(format!("{}\n", run.to_json().to_pretty()));
-            let evicted = shared
-                .cache
-                .lock()
-                .expect("cache lock")
-                .insert(grid_document_key(&job.artifact, &job.spec), merged);
-            shared.cache_evictions.fetch_add(evicted, Ordering::Relaxed);
-            run.passed()
-        }
-        Err(_) => {
-            eprintln!("cqla-serve: job {} panicked; marked failed", job.id);
-            false
-        }
-    };
-    finish_job(shared, job, passed);
-}
-
-/// Appends each completed design point's fragment to the job log and
-/// wakes pollers/streamers — [`JobSink`]'s twin for design-space
-/// sweep jobs.
-struct SweepJobSink<'a> {
-    job: &'a Job,
-}
-
-impl SweepSink for SweepJobSink<'_> {
-    fn result(&self, index: usize, result: &cqla_sweep::JobResult) {
-        let fragment = sweep_fragment(index, result);
-        let mut state = self.job.state.lock().expect("job state lock");
-        debug_assert_eq!(state.fragments.len(), index, "fragments arrive in order");
-        state.fragments.push(fragment);
-        self.job.cv.notify_all();
-    }
-}
-
-/// The sweep-job thread: execute the design-space sweep on the pool,
-/// streaming fragments into the job log. Sweeps carry no pass/fail
-/// verdict, so completing without a panic is `passed`.
-fn run_sweep_job(shared: &Arc<Shared>, job: &Arc<Job>, sweep: &Sweep, pool_threads: usize) {
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let sink = SweepJobSink { job };
-        let _run = SweepRun::execute_streamed(sweep, pool_threads, &sink);
-    }));
-    if outcome.is_err() {
-        eprintln!("cqla-serve: job {} panicked; marked failed", job.id);
-    }
-    finish_job(shared, job, outcome.is_ok());
 }
 
 /// Marks a job done, applies completed-job retention, and drops the
-/// active-jobs gauge — the mandatory tail of every job runner.
+/// active-jobs gauge — the mandatory tail of every job thread.
 fn finish_job(shared: &Shared, job: &Job, passed: bool) {
     {
         let mut state = job.state.lock().expect("job state lock");
@@ -1541,46 +1526,16 @@ fn compile_endpoint(body: &[u8], query: &[(String, String)], shared: &Shared) ->
         params.push(("program".to_owned(), source.to_owned()));
     }
     params.sort();
-    let key = canonical_key("compile", &params);
-    match lookup(shared, &key) {
-        Lookup::Hit(body) => {
-            shared.cache_hits.fetch_add(1, Ordering::Relaxed);
-            shared.compile_cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Response::shared(body);
+    let experiment = find("compile").expect("the registry always has `compile`");
+    match cached_run(shared, "compile", experiment, &params) {
+        Ok((body, hit)) => {
+            if hit {
+                shared.compile_cache_hits.fetch_add(1, Ordering::Relaxed);
+            }
+            Response::shared(body)
         }
-        Lookup::Coalesced(body) => {
-            shared.coalesced.fetch_add(1, Ordering::Relaxed);
-            return Response::shared(body);
-        }
-        Lookup::Owned => {}
+        Err(response) => response,
     }
-    let mut guard = FlightGuard {
-        shared,
-        key,
-        armed: true,
-    };
-    let mut experiment = find("compile").expect("the registry always has `compile`");
-    for (param, value) in &params {
-        if let Err(e) = experiment.set(param, value) {
-            return Response::error(
-                Status::BadRequest,
-                e.to_string(),
-                Some(format!(
-                    "compile takes: {}",
-                    params_usage(experiment.as_ref())
-                )),
-            );
-        }
-    }
-    let output = experiment.run();
-    let body = Arc::new(format!("{}\n", output.document("compile").to_pretty()));
-    shared.cache_misses.fetch_add(1, Ordering::Relaxed);
-    if output.passed {
-        guard.armed = false;
-        resolve_flight(shared, &guard.key, Arc::clone(&body));
-    }
-    drop(guard);
-    Response::shared(body)
 }
 
 #[cfg(test)]

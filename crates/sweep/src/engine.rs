@@ -8,13 +8,14 @@
 //! lives in the separate [`SweepRun::timing_json`], which is expected to
 //! differ run to run and feeds the benchmark baseline.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cqla_core::{
     CqlaConfig, EvalCtx, HierarchyConfig, HierarchyResult, HierarchyStudy, SpecializationResult,
     SpecializationStudy,
 };
 
+use crate::grid::{document, fragment, PointSink};
 use crate::json::{Json, ToJson};
 use crate::pool;
 use crate::spec::{DesignPoint, Sweep};
@@ -85,9 +86,10 @@ pub struct JobResult {
 }
 
 impl JobResult {
-    /// This result's entry in the sweep document's `results` array — the
-    /// unit the streamed-document framing re-indents into a fragment
-    /// (see [`sweep_fragment`]). Deterministic: duration is excluded.
+    /// This result's entry in the sweep document's `results` array —
+    /// the unit the streamed-document framing re-indents into a
+    /// fragment (see [`crate::grid::fragment`]). Deterministic:
+    /// duration is excluded.
     #[must_use]
     pub fn result_json(&self) -> Json {
         Json::obj([
@@ -97,47 +99,12 @@ impl JobResult {
     }
 }
 
-/// The streamed sweep document's head: everything up to and including
-/// the opening bracket of the `results` array. Concatenating
-/// `sweep_prologue` + [`sweep_fragment`] for every result in order +
-/// [`crate::grid::DOCUMENT_EPILOGUE`] is byte-identical to the merged
-/// document (`format!("{}\n", run.to_json().to_pretty())`) — the same
-/// framing contract grid documents carry, extended to sweeps so a
+/// A sweep document's head: the sweep name and the point count. Framed
+/// by [`crate::grid::prologue`] like every streamed document, so a
 /// worker fleet can stream sweep shards too.
 #[must_use]
-pub fn sweep_prologue(name: &str, points: usize) -> String {
-    let head = Json::obj([("sweep", Json::from(name)), ("points", points.to_json())]).to_pretty();
-    let head = head
-        .strip_suffix("\n}")
-        .expect("pretty object ends with a closing brace");
-    format!("{head},\n  \"results\": [")
-}
-
-/// One result's streamed fragment: the separator (for every result
-/// after the first) plus the result object re-indented to its depth
-/// inside the `results` array — the sweep twin of
-/// [`crate::grid::point_fragment`].
-#[must_use]
-pub fn sweep_fragment(index: usize, result: &JobResult) -> String {
-    let pretty = result.result_json().to_pretty().replace('\n', "\n    ");
-    let sep = if index == 0 { "" } else { "," };
-    format!("{sep}\n    {pretty}")
-}
-
-/// Receives sweep results incrementally, **in submission order**, as the
-/// pool completes them — the sweep twin of [`crate::grid::PointSink`].
-/// Called from pool worker threads (hence `Sync`), one call at a time,
-/// behind the executor's reorder lock.
-pub trait SweepSink: Sync {
-    /// One completed result, at its submission-order index.
-    fn result(&self, index: usize, result: &JobResult);
-}
-
-/// The no-op sink behind plain [`SweepRun::execute`].
-struct NoSink;
-
-impl SweepSink for NoSink {
-    fn result(&self, _index: usize, _result: &JobResult) {}
+pub fn sweep_head(name: &str, points: usize) -> Json {
+    Json::obj([("sweep", Json::from(name)), ("points", points.to_json())])
 }
 
 /// A completed sweep: every job result in submission order.
@@ -163,60 +130,44 @@ impl SweepRun {
     /// ```
     #[must_use]
     pub fn execute(sweep: &Sweep, threads: usize) -> Self {
-        Self::execute_streamed(sweep, threads, &NoSink)
+        Self::run(sweep, threads, |_, _| {})
     }
 
-    /// Executes the sweep, delivering each completed result to `sink` in
-    /// submission order as soon as it (and every earlier result) is
-    /// done — the incremental hook behind streamed sweep jobs. The pool
-    /// completes points in whatever order work-stealing dictates; a
-    /// reorder buffer holds early finishers and flushes the contiguous
-    /// prefix, so the sink observes exactly the order
-    /// [`SweepRun::results`] will report.
+    /// Executes the sweep, delivering each completed result's
+    /// [`fragment`] to `sink` in submission order as soon as it (and
+    /// every earlier result) is done — the incremental hook behind
+    /// streamed sweep jobs. The sink observes exactly the order
+    /// [`SweepRun::results`] will report (see [`pool::map`]).
     #[must_use]
-    pub fn execute_streamed(sweep: &Sweep, threads: usize, sink: &dyn SweepSink) -> Self {
+    pub fn execute_streamed(sweep: &Sweep, threads: usize, sink: &dyn PointSink) -> Self {
+        Self::run(sweep, threads, |index, result: &JobResult| {
+            sink.fragment(index, fragment(index, &result.result_json()));
+        })
+    }
+
+    fn run(sweep: &Sweep, threads: usize, deliver: impl FnMut(usize, &JobResult) + Send) -> Self {
         // Record the *effective* worker count (the pool clamps to the job
         // count): the timing document is the cross-PR perf baseline, and
         // a phantom thread count would make comparisons misleading.
         let threads = threads.clamp(1, sweep.len().max(1));
-        let total = sweep.len();
-        // Reorder state: completed-but-undelivered results, plus the
-        // index of the next result to deliver.
-        struct Reorder {
-            slots: Vec<Option<JobResult>>,
-            next: usize,
-        }
-        let reorder = std::sync::Mutex::new(Reorder {
-            slots: (0..total).map(|_| None).collect(),
-            next: 0,
-        });
         // One memoization context for the whole run: points share DAG
         // schedules, cache-simulator passes, and ECC tables across
         // worker threads (same lock discipline as a grid `PointCache`).
         let ctx = EvalCtx::new();
-        pool::map(sweep.points(), threads, |index, point| {
-            let started = std::time::Instant::now();
-            let outcome = PointOutcome::evaluate_ctx(point, &ctx);
-            let result = JobResult {
-                point: *point,
-                outcome,
-                duration: started.elapsed(),
-            };
-            let mut state = reorder.lock().expect("sweep reorder lock");
-            state.slots[index] = Some(result);
-            while state.next < total && state.slots[state.next].is_some() {
-                let i = state.next;
-                sink.result(i, state.slots[i].as_ref().expect("flushed slot is filled"));
-                state.next += 1;
-            }
-        });
-        let results = reorder
-            .into_inner()
-            .expect("sweep reorder lock")
-            .slots
-            .into_iter()
-            .map(|slot| slot.expect("every sweep point completed"))
-            .collect();
+        let results = pool::map(
+            sweep.points(),
+            threads,
+            |_, point| {
+                let started = Instant::now();
+                let outcome = PointOutcome::evaluate_ctx(point, &ctx);
+                JobResult {
+                    point: *point,
+                    outcome,
+                    duration: started.elapsed(),
+                }
+            },
+            deliver,
+        );
         Self {
             name: sweep.name().to_owned(),
             threads,
@@ -246,14 +197,10 @@ impl SweepRun {
     /// description, never on thread count or timing.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("sweep", Json::from(self.name.as_str())),
-            ("points", self.results.len().to_json()),
-            (
-                "results",
-                Json::Arr(self.results.iter().map(JobResult::result_json).collect()),
-            ),
-        ])
+        document(
+            sweep_head(&self.name, self.results.len()),
+            self.results.iter().map(JobResult::result_json).collect(),
+        )
     }
 
     /// The timing document: per-job wall-clock plus aggregate stats.
@@ -428,49 +375,6 @@ mod tests {
             t.get("job_seconds").unwrap().as_arr().unwrap().len(),
             run.results().len()
         );
-    }
-
-    #[test]
-    fn streamed_framing_concatenates_to_the_merged_document() {
-        for spec in ["quick", "table5"] {
-            let sweep = Sweep::builtin(spec).unwrap();
-            let run = SweepRun::execute(&sweep, 3);
-            let mut streamed = sweep_prologue(run.name(), run.results().len());
-            for (i, result) in run.results().iter().enumerate() {
-                streamed.push_str(&sweep_fragment(i, result));
-            }
-            streamed.push_str(crate::grid::DOCUMENT_EPILOGUE);
-            assert_eq!(
-                streamed,
-                format!("{}\n", run.to_json().to_pretty()),
-                "spec {spec:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn sink_sees_every_result_in_submission_order() {
-        struct Recorder(std::sync::Mutex<Vec<(usize, String)>>);
-        impl SweepSink for Recorder {
-            fn result(&self, index: usize, result: &JobResult) {
-                self.0.lock().unwrap().push((index, result.point.label()));
-            }
-        }
-        let sweep = Sweep::builtin("quick").unwrap();
-        for threads in [1, 4] {
-            let sink = Recorder(std::sync::Mutex::new(Vec::new()));
-            let run = SweepRun::execute_streamed(&sweep, threads, &sink);
-            let seen = sink.0.into_inner().unwrap();
-            assert_eq!(seen.len(), run.results().len(), "threads {threads}");
-            for (slot, (index, label)) in seen.iter().enumerate() {
-                assert_eq!(*index, slot, "threads {threads}");
-                assert_eq!(
-                    label,
-                    &run.results()[slot].point.label(),
-                    "threads {threads}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -25,6 +25,13 @@
 //! lets the service cache *per point*: every point's single-run body is
 //! the same bytes a direct single-value request would produce, exposed
 //! through the [`PointCache`] hook.
+//!
+//! This module also owns the streamed-document framing every document
+//! kind shares — grid documents here and sweep documents in
+//! [`crate::engine`]: a head object ([`grid_head`],
+//! [`crate::engine::sweep_head`]) rendered by [`prologue`], one
+//! [`fragment`] per result, delivered to a [`PointSink`], and
+//! [`DOCUMENT_EPILOGUE`].
 
 use cqla_core::experiments::{find, Grid};
 use cqla_core::json::Json;
@@ -54,7 +61,7 @@ pub struct GridPoint {
 impl GridPoint {
     /// This point's entry in the merged document's `results` array —
     /// the unit the streamed-document framing re-indents into a
-    /// fragment (see [`point_fragment`]).
+    /// fragment (see [`fragment`]).
     #[must_use]
     pub fn result_json(&self) -> Json {
         Json::obj([
@@ -71,41 +78,81 @@ impl GridPoint {
     }
 }
 
-/// The streamed grid document's head: everything up to and including
-/// the opening bracket of the `results` array. Concatenating
-/// `document_prologue` + [`point_fragment`] for every point in order +
+/// The streamed document's head: `head`'s fields (the document minus
+/// its `results` array) followed by the opening bracket of `results`.
+/// Concatenating `prologue` + [`fragment`] for every result in order +
 /// [`DOCUMENT_EPILOGUE`] is byte-identical to the merged document
-/// (`format!("{}\n", run.to_json().to_pretty())`) — the contract that
-/// lets the HTTP service stream a grid without buffering it.
+/// ([`document`] of the same head and results, pretty-printed, plus a
+/// newline) — the contract that lets the HTTP service stream grids and
+/// jobs without buffering them, and lets a worker fleet splice shards.
+/// Both document kinds use it: [`grid_head`] and
+/// [`crate::engine::sweep_head`] build their heads.
 #[must_use]
-pub fn document_prologue(id: &str, spec: &str, points: usize) -> String {
-    let head = Json::obj([
-        ("artifact", Json::from(id)),
-        ("grid", Json::from(spec)),
-        ("points", Json::Int(points as i64)),
-    ])
-    .to_pretty();
+pub fn prologue(head: &Json) -> String {
+    let head = head.to_pretty();
     let head = head
         .strip_suffix("\n}")
         .expect("pretty object ends with a closing brace");
     format!("{head},\n  \"results\": [")
 }
 
-/// One point's streamed fragment: the separator (for every point after
-/// the first) plus the result object re-indented to its depth inside
-/// the `results` array. The re-indent is a plain string substitution on
-/// newlines, which is exact because the JSON printer never emits a
-/// literal newline inside a string (control characters are escaped).
+/// One result's streamed fragment: the separator (for every result
+/// after the first) plus the result object re-indented to its depth
+/// inside the `results` array. The re-indent is a plain string
+/// substitution on newlines, which is exact because the JSON printer
+/// never emits a literal newline inside a string (control characters
+/// are escaped).
 #[must_use]
-pub fn point_fragment(index: usize, point: &GridPoint) -> String {
-    let pretty = point.result_json().to_pretty().replace('\n', "\n    ");
+pub fn fragment(index: usize, result: &Json) -> String {
+    let pretty = result.to_pretty().replace('\n', "\n    ");
     let sep = if index == 0 { "" } else { "," };
     format!("{sep}\n    {pretty}")
 }
 
-/// The streamed grid document's tail: closes the `results` array and
-/// the document, with the trailing newline every CLI/HTTP body carries.
+/// The streamed document's tail: closes the `results` array and the
+/// document, with the trailing newline every CLI/HTTP body carries.
 pub const DOCUMENT_EPILOGUE: &str = "\n  ]\n}\n";
+
+/// The merged document: `head`'s fields followed by the `results`
+/// array — what [`prologue`], [`fragment`] and [`DOCUMENT_EPILOGUE`]
+/// stream piecewise.
+///
+/// # Panics
+///
+/// Panics if `head` is not a JSON object.
+#[must_use]
+pub fn document(head: Json, results: Vec<Json>) -> Json {
+    let Json::Obj(mut fields) = head else {
+        panic!("a document head is a JSON object");
+    };
+    fields.push(("results".to_owned(), Json::Arr(results)));
+    Json::Obj(fields)
+}
+
+/// A grid document's head: the artifact id, the grid expression and
+/// the point count.
+#[must_use]
+pub fn grid_head(id: &str, spec: &str, points: usize) -> Json {
+    Json::obj([
+        ("artifact", Json::from(id)),
+        ("grid", Json::from(spec)),
+        ("points", Json::Int(points as i64)),
+    ])
+}
+
+/// Receives a streamed document's fragments incrementally, **in
+/// submission order**, as the pool completes them: fragment `i` is
+/// delivered only after fragments `0..i`, no matter which worker
+/// finished first. [`GridRun`] and [`crate::SweepRun`] render each
+/// result's [`fragment`]; the HTTP service streams it to the client,
+/// and job runs append it to their progress log.
+///
+/// Called from pool worker threads (hence `Sync`), one call at a time —
+/// but not necessarily from the same thread each time.
+pub trait PointSink: Sync {
+    /// One completed result's fragment, at its submission-order index.
+    fn fragment(&self, index: usize, fragment: String);
+}
 
 /// A per-point result cache the grid executor can read through and
 /// populate — the HTTP service plugs its results cache in here, so a
@@ -157,27 +204,6 @@ impl Drop for AbandonGuard<'_> {
             self.cache.abandon(self.overrides);
         }
     }
-}
-
-/// Receives grid points incrementally, **in submission order**, as the
-/// pool completes them: point `i` is delivered only after points
-/// `0..i`, no matter which worker finished first. The HTTP service
-/// streams each point's rendered fragment to the client from here;
-/// job runs append fragments to their progress log.
-///
-/// Called from pool worker threads (hence `Sync`), one call at a time
-/// (the executor serializes delivery behind its reorder lock) — but not
-/// necessarily from the same thread each time.
-pub trait PointSink: Sync {
-    /// One completed point, at its submission-order index.
-    fn point(&self, index: usize, point: &GridPoint);
-}
-
-/// The no-op sink behind the non-streaming executors.
-struct NoSink;
-
-impl PointSink for NoSink {
-    fn point(&self, _index: usize, _point: &GridPoint) {}
 }
 
 /// The no-op cache behind plain [`GridRun::execute`].
@@ -236,16 +262,15 @@ impl GridRun {
     /// As [`GridRun::execute`].
     #[must_use]
     pub fn execute_cached(grid: &Grid, threads: usize, cache: &dyn PointCache) -> Self {
-        Self::execute_streamed(grid, threads, cache, &NoSink)
+        Self::run(grid, threads, cache, |_, _| {})
     }
 
-    /// Executes the grid, delivering each completed point to `sink` in
-    /// submission order as soon as it (and every earlier point) is
-    /// done — the incremental hook behind the HTTP service's streamed
-    /// grid responses and resumable jobs. The pool completes points in
-    /// whatever order work-stealing dictates; a reorder buffer holds
-    /// early finishers and flushes the contiguous prefix, so the sink
-    /// observes exactly the order [`GridRun::points`] will report.
+    /// Executes the grid, delivering each completed point's
+    /// [`fragment`] to `sink` in submission order as soon as it (and
+    /// every earlier point) is done — the incremental hook behind the
+    /// HTTP service's streamed grid responses and resumable jobs. The
+    /// sink observes exactly the order [`GridRun::points`] will report
+    /// (see [`pool::map`]).
     ///
     /// The sink runs on pool worker threads while the reorder lock is
     /// held: a sink that blocks (say, on a slow client's socket) stalls
@@ -262,41 +287,29 @@ impl GridRun {
         cache: &dyn PointCache,
         sink: &dyn PointSink,
     ) -> Self {
+        Self::run(grid, threads, cache, |index, point: &GridPoint| {
+            sink.fragment(index, fragment(index, &point.result_json()));
+        })
+    }
+
+    fn run(
+        grid: &Grid,
+        threads: usize,
+        cache: &dyn PointCache,
+        deliver: impl FnMut(usize, &GridPoint) + Send,
+    ) -> Self {
         let id = grid.id().to_owned();
-        let assignments = grid.points();
-        let total = assignments.len();
-        // Reorder state: completed-but-undelivered points, plus the
-        // index of the next point to deliver.
-        struct Reorder {
-            slots: Vec<Option<GridPoint>>,
-            next: usize,
-        }
-        let reorder = std::sync::Mutex::new(Reorder {
-            slots: (0..total).map(|_| None).collect(),
-            next: 0,
-        });
         // One evaluation context for the whole grid: neighboring points
         // share most memo keys, and the lock discipline matches the
         // `PointCache` single-flight contract (workers never serialize
         // on each other's computations).
         let ctx = EvalCtx::new();
-        pool::map(&assignments, threads, |index, overrides| {
-            let point = run_point(&id, overrides, cache, &ctx);
-            let mut state = reorder.lock().expect("grid reorder lock");
-            state.slots[index] = Some(point);
-            while state.next < total && state.slots[state.next].is_some() {
-                let i = state.next;
-                sink.point(i, state.slots[i].as_ref().expect("flushed slot is filled"));
-                state.next += 1;
-            }
-        });
-        let points = reorder
-            .into_inner()
-            .expect("grid reorder lock")
-            .slots
-            .into_iter()
-            .map(|slot| slot.expect("every grid point completed"))
-            .collect();
+        let points = pool::map(
+            &grid.points(),
+            threads,
+            |_, overrides| run_point(&id, overrides, cache, &ctx),
+            deliver,
+        );
         Self {
             id,
             spec: grid.spec().to_owned(),
@@ -332,15 +345,10 @@ impl GridRun {
     /// grid description, never on thread count or cache state.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("artifact", Json::from(self.id.as_str())),
-            ("grid", Json::from(self.spec.as_str())),
-            ("points", Json::Int(self.points.len() as i64)),
-            (
-                "results",
-                Json::Arr(self.points.iter().map(GridPoint::result_json).collect()),
-            ),
-        ])
+        document(
+            grid_head(&self.id, &self.spec, self.points.len()),
+            self.points.iter().map(GridPoint::result_json).collect(),
+        )
     }
 
     /// Renders the paper-style text for terminal output: one banner and
@@ -537,47 +545,57 @@ mod tests {
 
     #[test]
     fn streamed_framing_concatenates_to_the_merged_document() {
-        for expr in ["", "bits=8,16 cap=4,8", "bits=8..=32:*2"] {
-            let g = grid("fig2", expr);
-            let run = GridRun::execute(&g, 3);
-            let mut streamed = document_prologue(run.id(), run.spec(), run.points().len());
-            for (i, point) in run.points().iter().enumerate() {
-                streamed.push_str(&point_fragment(i, point));
-            }
-            streamed.push_str(DOCUMENT_EPILOGUE);
-            assert_eq!(
-                streamed,
-                format!("{}\n", run.to_json().to_pretty()),
-                "expr {expr:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn sink_sees_every_point_in_submission_order() {
-        type Delivery = (usize, Vec<(String, String)>);
-        struct Recorder(Mutex<Vec<Delivery>>);
-        impl PointSink for Recorder {
-            fn point(&self, index: usize, point: &GridPoint) {
-                self.0
-                    .lock()
-                    .unwrap()
-                    .push((index, point.overrides.clone()));
+        /// Collects each delivered result's fragment in arrival order.
+        struct Fragments(Mutex<Vec<String>>);
+        impl PointSink for Fragments {
+            fn fragment(&self, _index: usize, fragment: String) {
+                self.0.lock().unwrap().push(fragment);
             }
         }
-        let g = grid("fig2", "bits=8,16,24 cap=4,8");
-        for threads in [1, 4] {
-            let sink = Recorder(Mutex::new(Vec::new()));
-            let run = GridRun::execute_streamed(&g, threads, &NoCache, &sink);
-            let seen = sink.0.into_inner().unwrap();
-            assert_eq!(seen.len(), run.points().len(), "threads {threads}");
-            for (slot, (index, overrides)) in seen.iter().enumerate() {
-                assert_eq!(*index, slot, "threads {threads}");
-                assert_eq!(
-                    overrides,
-                    &run.points()[slot].overrides,
-                    "threads {threads}"
-                );
+        let quick = crate::Sweep::builtin("quick").unwrap();
+        let grids = [
+            grid("fig2", "bits=8..=32:*2"),
+            grid("machine", "code=steane,bacon-shor bits=32,64"),
+        ];
+        assert_eq!(grids[1].len(), 4);
+        // Per document: (kind, prologue, delivered fragments, merged).
+        let streamed_at = |threads: usize| {
+            let sink = Fragments(Mutex::new(Vec::new()));
+            let run = crate::SweepRun::execute_streamed(&quick, threads, &sink);
+            let head = crate::engine::sweep_head(run.name(), run.results().len());
+            let mut docs = vec![(
+                "quick",
+                prologue(&head),
+                sink.0.into_inner().unwrap(),
+                run.to_json(),
+            )];
+            for g in &grids {
+                let sink = Fragments(Mutex::new(Vec::new()));
+                let run = GridRun::execute_streamed(g, threads, &NoCache, &sink);
+                let head = grid_head(run.id(), run.spec(), run.points().len());
+                let fragments = sink.0.into_inner().unwrap();
+                docs.push((g.id(), prologue(&head), fragments, run.to_json()));
+            }
+            docs
+        };
+        let serial = streamed_at(1);
+        for threads in [1, 2, 3, 8] {
+            for (doc, reference) in streamed_at(threads).into_iter().zip(&serial) {
+                let (kind, prologue, fragments, merged) = doc;
+                let merged = format!("{}\n", merged.to_pretty());
+                let whole = format!("{prologue}{}{DOCUMENT_EPILOGUE}", fragments.concat());
+                assert_eq!(whole, merged, "{kind} at threads={threads}");
+                // A stream cut after K fragments glues to a resume from
+                // K — here replayed from the serial run's fragments.
+                for k in 0..=fragments.len() {
+                    let cut = format!("{prologue}{}", fragments[..k].concat());
+                    let resumed = format!("{}{DOCUMENT_EPILOGUE}", reference.2[k..].concat());
+                    assert_eq!(
+                        cut + &resumed,
+                        merged,
+                        "{kind} cut at {k}, threads={threads}"
+                    );
+                }
             }
         }
     }

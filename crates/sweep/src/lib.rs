@@ -20,19 +20,20 @@
 //! * [`grid`] — [`GridRun`]: execute a per-experiment parameter [`Grid`]
 //!   (`cqla run fig2 bits=32..=128:*2`) on the pool and merge the
 //!   per-point artifact documents, with a [`PointCache`] hook for the
-//!   HTTP service's results cache;
-//!
-//! [`Grid`]: cqla_core::experiments::Grid
+//!   HTTP service's results cache. It also owns the one streamed-document
+//!   framing ([`grid::prologue`], [`grid::fragment`],
+//!   [`grid::DOCUMENT_EPILOGUE`]) and the one [`PointSink`] trait that
+//!   grid and sweep documents share;
 //! * [`pool`] — a scoped-thread work-stealing executor
-//!   ([`std::thread::scope`], zero dependencies) with per-job timing and
-//!   deterministic result ordering;
+//!   ([`std::thread::scope`], zero dependencies) that delivers results
+//!   in submission order as the contiguous prefix completes — the only
+//!   place submission order is restored;
 //! * [`engine`] — [`SweepRun`]: execute a sweep, render text, serialize
 //!   deterministic results and (separately) timing stats;
 //! * [`regress`] — the perf regression gate: diff two `BENCH_sweep.json`
-//!   timing documents against a threshold (`cqla bench-diff`);
-//! * [`experiments`] — parallel ports of the paper's own grids that are
-//!   bitwise-identical to the registry generators in
-//!   `cqla_core::experiments`.
+//!   timing documents against a threshold (`cqla bench-diff`).
+//!
+//! [`Grid`]: cqla_core::experiments::Grid
 //!
 //! The JSON layer ([`Json`], [`ToJson`]) lives in [`cqla_core::json`] and
 //! is re-exported here for compatibility.
@@ -62,7 +63,6 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod experiments;
 pub mod grid;
 pub mod parse;
 pub mod pool;
@@ -71,8 +71,8 @@ pub mod spec;
 
 pub use cqla_core::json;
 pub use cqla_core::json::{Json, ToJson};
-pub use engine::{JobResult, PointOutcome, SweepRun, SweepSink};
-pub use grid::{GridPoint, GridRun, PointCache};
+pub use engine::{JobResult, PointOutcome, SweepRun};
+pub use grid::{GridPoint, GridRun, PointCache, PointSink};
 pub use parse::SpecError;
 pub use regress::{BenchDiff, BenchDoc, DocError};
 pub use spec::{Axis, DesignPoint, Sweep, TechPoint};

@@ -1,5 +1,6 @@
 //! A scoped-thread work-stealing executor for embarrassingly parallel
-//! job grids.
+//! job grids — the one executor behind sweeps, grids, server jobs and
+//! the fleet's workers.
 //!
 //! Built on [`std::thread::scope`] only — no external dependencies. Jobs
 //! are dealt round-robin into one double-ended queue per worker; each
@@ -8,23 +9,15 @@
 //! cost (a 1024-bit adder point costs ~100× a 32-bit one), so stealing —
 //! not static chunking — is what keeps all cores busy to the end.
 //!
-//! Results are written back by job index, so output order is always the
+//! Results are written back by job index and handed to the caller's
+//! delivery callback as soon as the contiguous prefix is complete, so
+//! both the streamed deliveries and the returned vector follow
 //! submission order no matter which worker ran what: callers get
 //! determinism for free and can diff parallel output byte-for-byte
 //! against a serial run.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
-
-/// One job's output together with its wall-clock execution time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Timed<R> {
-    /// What the job computed.
-    pub value: R,
-    /// How long the closure ran on its worker.
-    pub duration: Duration,
-}
 
 /// The number of workers to use by default: every available core.
 #[must_use]
@@ -32,8 +25,15 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Runs `f` over every item on `threads` workers and returns the timed
-/// results in submission order.
+/// Runs `f` over every item on `threads` workers, hands each result to
+/// `deliver` in submission order, and returns the results in that same
+/// order.
+///
+/// `deliver(i, &result)` runs once per item, one call at a time, as
+/// soon as results `0..=i` are all done — so a caller can stream a
+/// document while the pool is still computing its tail. It runs on
+/// whichever worker completed the prefix, while that worker holds the
+/// reorder lock: a slow callback delays delivery, never correctness.
 ///
 /// `threads == 1` runs inline on the calling thread (no spawn, same code
 /// path for the closure), which gives tests a serial reference. Requests
@@ -47,8 +47,8 @@ pub fn default_threads() -> usize {
 ///
 /// # Panics
 ///
-/// Propagates panics from `f` (the scope joins all workers first), and
-/// asserts `threads > 0` in debug builds.
+/// Propagates panics from `f` and `deliver` (the scope joins all
+/// workers first), and asserts `threads > 0` in debug builds.
 ///
 /// # Examples
 ///
@@ -56,82 +56,87 @@ pub fn default_threads() -> usize {
 /// use cqla_sweep::pool;
 ///
 /// let items = vec![1u64, 2, 3, 4, 5];
-/// let out = pool::map(&items, 4, |_, &x| x * x);
-/// let squares: Vec<u64> = out.into_iter().map(|t| t.value).collect();
+/// let mut seen = Vec::new();
+/// let squares = pool::map(&items, 4, |_, &x| x * x, |i, &sq| seen.push((i, sq)));
 /// assert_eq!(squares, [1, 4, 9, 16, 25]);
+/// assert_eq!(seen, [(0, 1), (1, 4), (2, 9), (3, 16), (4, 25)]);
 /// ```
-pub fn map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<Timed<R>>
+pub fn map<T, R, F, D>(items: &[T], threads: usize, f: F, deliver: D) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
+    D: FnMut(usize, &R) + Send,
 {
     debug_assert!(
         threads > 0,
         "pool::map called with zero threads; validate --threads at the CLI layer"
     );
     let threads = threads.clamp(1, items.len().max(1));
-    if threads <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
-                let t0 = Instant::now();
-                let value = f(i, item);
-                Timed {
-                    value,
-                    duration: t0.elapsed(),
-                }
-            })
-            .collect();
-    }
-
-    // Deal jobs round-robin so every worker starts with a share spanning
-    // the grid (cheap and expensive points alike).
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..threads)
-        .map(|w| Mutex::new((w..items.len()).step_by(threads).collect()))
-        .collect();
-
-    let mut harvested: Vec<Vec<(usize, Timed<R>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let queues = &queues;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut local: Vec<(usize, Timed<R>)> = Vec::new();
-                    while let Some(idx) = next_job(queues, w) {
-                        let t0 = Instant::now();
-                        let value = f(idx, &items[idx]);
-                        local.push((
-                            idx,
-                            Timed {
-                                value,
-                                duration: t0.elapsed(),
-                            },
-                        ));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
+    let reorder = Mutex::new(Reorder {
+        slots: (0..items.len()).map(|_| None).collect(),
+        next: 0,
+        deliver,
     });
-
-    // Reassemble in submission order: index-addressed slots, then unwrap.
-    let mut slots: Vec<Option<Timed<R>>> = (0..items.len()).map(|_| None).collect();
-    for batch in &mut harvested {
-        for (idx, timed) in batch.drain(..) {
-            debug_assert!(slots[idx].is_none(), "job {idx} ran twice");
-            slots[idx] = Some(timed);
-        }
+    let run = |idx: usize| {
+        let value = f(idx, &items[idx]);
+        reorder.lock().expect("reorder lock").land(idx, value);
+    };
+    if threads == 1 {
+        (0..items.len()).for_each(run);
+    } else {
+        // Deal jobs round-robin so every worker starts with a share
+        // spanning the grid (cheap and expensive points alike).
+        let queues: Vec<Mutex<VecDeque<usize>>> = (0..threads)
+            .map(|w| Mutex::new((w..items.len()).step_by(threads).collect()))
+            .collect();
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|w| {
+                    let (queues, run) = (&queues, &run);
+                    scope.spawn(move || {
+                        while let Some(idx) = next_job(queues, w) {
+                            run(idx);
+                        }
+                    })
+                })
+                .collect();
+            // Join explicitly: the scope alone only waits for each
+            // closure to return, while a join waits for its thread to
+            // exit and hand its allocator arena back, so the next
+            // pool's threads reuse arenas instead of creating more.
+            for worker in workers {
+                worker.join().expect("pool worker panicked");
+            }
+        });
     }
-    slots
+    reorder
+        .into_inner()
+        .expect("reorder lock")
+        .slots
         .into_iter()
         .map(|slot| slot.expect("every job ran exactly once"))
         .collect()
+}
+
+/// Completed-but-undelivered results plus the index of the next one to
+/// deliver: the only place submission order is restored.
+struct Reorder<R, D> {
+    slots: Vec<Option<R>>,
+    next: usize,
+    deliver: D,
+}
+
+impl<R, D: FnMut(usize, &R)> Reorder<R, D> {
+    /// Stores job `idx`'s result, then delivers the contiguous prefix.
+    fn land(&mut self, idx: usize, value: R) {
+        debug_assert!(self.slots[idx].is_none(), "job {idx} ran twice");
+        self.slots[idx] = Some(value);
+        while let Some(Some(ready)) = self.slots.get(self.next) {
+            (self.deliver)(self.next, ready);
+            self.next += 1;
+        }
+    }
 }
 
 /// Pops the next job for worker `w`: front of its own queue, else steal
@@ -154,29 +159,58 @@ fn next_job(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
+
+    /// Burns roughly `spins` iterations of work the optimizer keeps.
+    fn spin(spins: u64, seed: u64) -> u64 {
+        (0..spins).fold(0u64, |acc, i| {
+            acc.wrapping_add(std::hint::black_box(i) ^ seed)
+        })
+    }
 
     #[test]
     fn preserves_submission_order_at_any_thread_count() {
-        let items: Vec<usize> = (0..97).collect();
+        // Skewed cost: early items are the expensive ones, so under
+        // parallelism later items finish first and must wait in the
+        // reorder buffer before they are delivered.
+        let items: Vec<u64> = (0..97).collect();
         for threads in [1, 2, 3, 8, 64] {
-            let out = map(&items, threads, |i, &x| {
-                assert_eq!(i, x, "index must match item position");
-                x * 3
-            });
-            assert_eq!(out.len(), 97);
-            for (i, t) in out.iter().enumerate() {
-                assert_eq!(t.value, i * 3, "threads={threads}");
-            }
+            let mut delivered = Vec::new();
+            let out = map(
+                &items,
+                threads,
+                |i, &x| {
+                    assert_eq!(i as u64, x, "index must match item position");
+                    spin((97 - x) * 2_000, x);
+                    x * 3
+                },
+                |i, &r| delivered.push((i, r)),
+            );
+            let expected: Vec<u64> = items.iter().map(|x| x * 3).collect();
+            assert_eq!(out, expected, "threads={threads}");
+            let indices: Vec<usize> = delivered.iter().map(|&(i, _)| i).collect();
+            assert_eq!(indices, (0..97).collect::<Vec<_>>(), "threads={threads}");
+            let values: Vec<u64> = delivered.iter().map(|&(_, r)| r).collect();
+            assert_eq!(values, out, "deliveries equal the returned Vec");
         }
+        let mut calls = 0;
+        let empty = map(&[] as &[u32], 4, |_, &x| x, |_, _| calls += 1);
+        assert!(empty.is_empty());
+        assert_eq!(calls, 0, "an empty input delivers nothing");
     }
 
     #[test]
     fn every_job_runs_exactly_once() {
         let counters: Vec<AtomicUsize> = (0..50).map(|_| AtomicUsize::new(0)).collect();
         let items: Vec<usize> = (0..50).collect();
-        map(&items, 7, |_, &i| {
-            counters[i].fetch_add(1, Ordering::SeqCst);
-        });
+        map(
+            &items,
+            7,
+            |_, &i| {
+                counters[i].fetch_add(1, Ordering::SeqCst);
+            },
+            |_, _| {},
+        );
         for (i, c) in counters.iter().enumerate() {
             assert_eq!(c.load(Ordering::SeqCst), 1, "job {i}");
         }
@@ -188,37 +222,26 @@ mod tests {
         // not wait behind the expensive one (they live in other queues
         // and are stolen while worker 0 grinds).
         let items: Vec<u64> = (0..32).collect();
-        let out = map(&items, 4, |_, &x| {
-            let spins = if x == 0 { 2_000_000 } else { 10 };
-            let mut acc = 0u64;
-            for i in 0..spins {
-                acc = acc.wrapping_add(i ^ x);
-            }
-            acc
-        });
+        let out = map(
+            &items,
+            4,
+            |_, &x| {
+                let t0 = Instant::now();
+                spin(if x == 0 { 2_000_000 } else { 10 }, x);
+                t0.elapsed()
+            },
+            |_, _| {},
+        );
         assert_eq!(out.len(), 32);
         // The expensive job really was the slow one.
-        let slowest = out
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, t)| t.duration)
-            .map(|(i, _)| i);
-        assert_eq!(slowest, Some(0));
+        let slowest = out.iter().enumerate().max_by_key(|(_, d)| **d);
+        assert_eq!(slowest.map(|(i, _)| i), Some(0));
+        assert!(out[0] > Duration::ZERO);
     }
 
     #[test]
     fn clamps_thread_count_to_job_count() {
-        let out = map(&[1u32, 2], 16, |_, &x| x + 1);
-        assert_eq!(out.iter().map(|t| t.value).collect::<Vec<_>>(), [2, 3]);
-        let empty: Vec<Timed<u32>> = map(&[], 4, |_, &x: &u32| x);
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn timings_are_recorded() {
-        let out = map(&[1u32], 1, |_, _| {
-            std::thread::sleep(Duration::from_millis(2))
-        });
-        assert!(out[0].duration >= Duration::from_millis(2));
+        let out = map(&[1u32, 2], 16, |_, &x| x + 1, |_, _| {});
+        assert_eq!(out, [2, 3]);
     }
 }
