@@ -378,6 +378,50 @@ mod tests {
     }
 
     #[test]
+    fn streamed_framing_concatenates_to_the_merged_document() {
+        for spec in ["quick", "table5"] {
+            let sweep = Sweep::builtin(spec).unwrap();
+            let run = SweepRun::execute(&sweep, 3);
+            let head = sweep_head(run.name(), run.results().len());
+            let mut streamed = crate::grid::prologue(&head);
+            for (i, result) in run.results().iter().enumerate() {
+                streamed.push_str(&fragment(i, &result.result_json()));
+            }
+            streamed.push_str(crate::grid::DOCUMENT_EPILOGUE);
+            assert_eq!(
+                streamed,
+                format!("{}\n", run.to_json().to_pretty()),
+                "spec {spec:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn sink_sees_every_result_in_submission_order() {
+        struct Recorder(std::sync::Mutex<Vec<(usize, String)>>);
+        impl PointSink for Recorder {
+            fn fragment(&self, index: usize, fragment: String) {
+                self.0.lock().unwrap().push((index, fragment));
+            }
+        }
+        let sweep = Sweep::builtin("quick").unwrap();
+        for threads in [1, 4] {
+            let sink = Recorder(std::sync::Mutex::new(Vec::new()));
+            let run = SweepRun::execute_streamed(&sweep, threads, &sink);
+            let seen = sink.0.into_inner().unwrap();
+            assert_eq!(seen.len(), run.results().len(), "threads {threads}");
+            for (slot, (index, delivered)) in seen.iter().enumerate() {
+                assert_eq!(*index, slot, "threads {threads}");
+                assert_eq!(
+                    delivered,
+                    &fragment(slot, &run.results()[slot].result_json()),
+                    "threads {threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn text_rendering_lists_every_point() {
         let run = SweepRun::execute(&Sweep::builtin("quick").unwrap(), 2);
         let text = run.render_text();

@@ -601,6 +601,31 @@ mod tests {
     }
 
     #[test]
+    fn sink_sees_every_point_in_submission_order() {
+        struct Recorder(Mutex<Vec<(usize, String)>>);
+        impl PointSink for Recorder {
+            fn fragment(&self, index: usize, fragment: String) {
+                self.0.lock().unwrap().push((index, fragment));
+            }
+        }
+        let g = grid("fig2", "bits=8,16,24 cap=4,8");
+        for threads in [1, 4] {
+            let sink = Recorder(Mutex::new(Vec::new()));
+            let run = GridRun::execute_streamed(&g, threads, &NoCache, &sink);
+            let seen = sink.0.into_inner().unwrap();
+            assert_eq!(seen.len(), run.points().len(), "threads {threads}");
+            for (slot, (index, delivered)) in seen.iter().enumerate() {
+                assert_eq!(*index, slot, "threads {threads}");
+                assert_eq!(
+                    delivered,
+                    &fragment(slot, &run.points()[slot].result_json()),
+                    "threads {threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn every_miss_is_resolved_with_a_put_and_never_abandoned() {
         #[derive(Default)]
         struct Flights {
