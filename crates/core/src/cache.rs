@@ -50,38 +50,6 @@ enum Residence {
     Cached,
 }
 
-/// One executed instruction in a [`CacheTrace`]: its index in the source
-/// circuit and how many of its operands had to be fetched from level-2
-/// memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceStep {
-    /// Instruction index in the source circuit.
-    pub instr: usize,
-    /// Operands fetched from memory (0..=3).
-    pub fetches: u8,
-}
-
-/// A per-instruction execution trace: the input the event-driven pipeline
-/// simulator replays.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CacheTrace {
-    steps: Vec<TraceStep>,
-}
-
-impl CacheTrace {
-    /// The executed steps in order.
-    #[must_use]
-    pub fn steps(&self) -> &[TraceStep] {
-        &self.steps
-    }
-
-    /// Total memory fetches across the trace.
-    #[must_use]
-    pub fn total_fetches(&self) -> u64 {
-        self.steps.iter().map(|s| u64::from(s.fetches)).sum()
-    }
-}
-
 /// Outcome of one simulated run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheRun {
@@ -235,47 +203,6 @@ impl CacheSim {
             fetch_misses,
             allocations,
         }
-    }
-
-    /// Like [`CacheSim::run`], but additionally records how many operands
-    /// each executed instruction fetched from memory — the input the
-    /// event-driven pipeline simulator needs. Runs `warmup` repetitions
-    /// first (untraced) and traces one more.
-    #[must_use]
-    pub fn trace(
-        &self,
-        circuit: &Circuit,
-        policy: FetchPolicy,
-        memory_resident: &[QubitId],
-        warmup: u32,
-    ) -> CacheTrace {
-        let mut state = CacheState::new(self.capacity, circuit.num_qubits(), memory_resident);
-        for _ in 0..warmup {
-            let sequence = match policy {
-                FetchPolicy::InOrder => (0..circuit.len()).collect::<Vec<_>>(),
-                FetchPolicy::OptimizedLookahead => optimized_order(circuit, &state),
-            };
-            for &i in &sequence {
-                for q in circuit.gates()[i].qubits() {
-                    state.access(q);
-                }
-            }
-        }
-        let sequence = match policy {
-            FetchPolicy::InOrder => (0..circuit.len()).collect::<Vec<_>>(),
-            FetchPolicy::OptimizedLookahead => optimized_order(circuit, &state),
-        };
-        let mut steps = Vec::with_capacity(sequence.len());
-        for &i in &sequence {
-            let mut fetches = 0u8;
-            for q in circuit.gates()[i].qubits() {
-                if state.access(q) == AccessKind::FetchMiss {
-                    fetches += 1;
-                }
-            }
-            steps.push(TraceStep { instr: i, fetches });
-        }
-        CacheTrace { steps }
     }
 }
 

@@ -46,7 +46,6 @@ mod eval;
 pub mod experiments;
 mod hierarchy;
 pub mod json;
-mod pipeline;
 mod qla;
 pub mod report;
 mod specialize;
@@ -55,10 +54,9 @@ pub use area::{
     AreaModel, BLOCK_ANCILLA_QUBITS, BLOCK_DATA_QUBITS, CQLA_CHANNEL_FACTOR,
     MEMORY_DATA_PER_ANCILLA, QLA_CHANNEL_FACTOR,
 };
-pub use cache::{CacheRun, CacheSim, CacheTrace, FetchPolicy, TraceStep};
+pub use cache::{CacheRun, CacheSim, FetchPolicy};
 pub use eval::{memo_counters, AdderCosts, CacheBehavior, EvalCtx};
 pub use hierarchy::{HierarchyConfig, HierarchyResult, HierarchyStudy, MixPolicy};
 pub use json::{Json, ToJson};
-pub use pipeline::{PipelineConfig, PipelineReport, PipelineSim};
 pub use qla::QlaBaseline;
 pub use specialize::{CqlaConfig, SpecializationResult, SpecializationStudy, TABLE4_GRID};

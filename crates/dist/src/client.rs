@@ -11,9 +11,19 @@
 //! so the de-chunking logic that pins the streamed-document framing
 //! contract is written once.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
+
+/// Largest response head (status line plus headers) a worker may send.
+pub const MAX_HEAD_BYTES: usize = 64 * 1024;
+
+/// Largest single chunk of a chunked transfer. One chunk carries one
+/// grid point's fragment, far below this.
+pub const MAX_CHUNK_BYTES: usize = 16 << 20;
+
+/// Largest `Content-Length` body, and largest de-chunked document.
+pub const MAX_BODY_BYTES: usize = 64 << 20;
 
 /// One fully read HTTP response: parsed status code, the raw header
 /// block (status line included, terminating blank line excluded), and
@@ -55,17 +65,11 @@ fn head_is_chunked(head: &str) -> bool {
 ///
 /// [`io::ErrorKind::UnexpectedEof`] if the peer closes before a full
 /// head arrives; [`io::ErrorKind::InvalidData`] if the status line is
-/// not `HTTP/1.1 <code>`.
+/// not `HTTP/1.1 <code>` or the head exceeds [`MAX_HEAD_BYTES`].
 pub fn read_head(reader: &mut impl BufRead) -> io::Result<(u16, String)> {
     let mut head = String::new();
     loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed mid-response",
-            ));
-        }
+        let line = read_line_capped(reader, MAX_HEAD_BYTES - head.len(), "response head")?;
         if line == "\r\n" {
             break;
         }
@@ -85,18 +89,18 @@ pub fn read_head(reader: &mut impl BufRead) -> io::Result<(u16, String)> {
 ///
 /// # Errors
 ///
-/// [`io::ErrorKind::InvalidData`] on an unparseable size line or
-/// non-UTF-8 payload; whatever the reader returns on short reads.
+/// [`io::ErrorKind::InvalidData`] on an unparseable size line, a size
+/// over [`MAX_CHUNK_BYTES`], or a non-UTF-8 payload; whatever the reader
+/// returns on short reads.
 pub fn read_chunk(reader: &mut impl BufRead) -> io::Result<Option<String>> {
-    let mut size = String::new();
-    if reader.read_line(&mut size)? == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "connection closed mid-chunk-stream",
-        ));
-    }
+    let size = read_line_capped(reader, MAX_HEAD_BYTES, "chunk size line")?;
     let len = usize::from_str_radix(size.trim(), 16)
         .map_err(|_| invalid(format!("unparseable chunk size: {size:?}")))?;
+    if len > MAX_CHUNK_BYTES {
+        return Err(invalid(format!(
+            "chunk of {len} bytes exceeds the {MAX_CHUNK_BYTES}-byte cap"
+        )));
+    }
     // Payload plus its trailing CRLF.
     let mut payload = vec![0u8; len + 2];
     reader.read_exact(&mut payload)?;
@@ -107,6 +111,22 @@ pub fn read_chunk(reader: &mut impl BufRead) -> io::Result<Option<String>> {
     String::from_utf8(payload)
         .map(Some)
         .map_err(|_| invalid("chunk payload is not UTF-8".to_owned()))
+}
+
+/// Reads one `\n`-terminated line of at most `cap` bytes.
+fn read_line_capped(reader: &mut impl BufRead, cap: usize, what: &str) -> io::Result<String> {
+    let mut line = String::new();
+    let read = reader.take(cap as u64).read_line(&mut line)?;
+    if read == cap && !line.ends_with('\n') {
+        return Err(invalid(format!("{what} exceeds {cap} bytes")));
+    }
+    if read == 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("connection closed mid-{what}"),
+        ));
+    }
+    Ok(line)
 }
 
 /// Reads one framed HTTP response off `reader`: status code, raw
@@ -261,6 +281,11 @@ fn read_response_body(reader: &mut impl BufRead, head: &str) -> io::Result<Strin
         let mut out = String::new();
         while let Some(chunk) = read_chunk(reader)? {
             out.push_str(&chunk);
+            if out.len() > MAX_BODY_BYTES {
+                return Err(invalid(format!(
+                    "chunked body exceeds the {MAX_BODY_BYTES}-byte cap"
+                )));
+            }
         }
         return Ok(out);
     }
@@ -270,6 +295,11 @@ fn read_response_body(reader: &mut impl BufRead, head: &str) -> io::Result<Strin
         .find_map(|l| l.strip_prefix("content-length: "))
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or(0);
+    if len > MAX_BODY_BYTES {
+        return Err(invalid(format!(
+            "Content-Length {len} exceeds the {MAX_BODY_BYTES}-byte cap"
+        )));
+    }
     let mut body = vec![0u8; len];
     reader.read_exact(&mut body)?;
     String::from_utf8(body).map_err(|_| invalid("body is not UTF-8".to_owned()))
@@ -319,6 +349,32 @@ mod tests {
         let garbled = "HTTP/2 200\r\n\r\n";
         let err = read_response(&mut Cursor::new(garbled)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn oversized_chunk_sizes_are_invalid_data_not_overflow() {
+        for size in ["ffffffffffffffff", &format!("{:x}", MAX_CHUNK_BYTES + 1)] {
+            let raw = format!("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n{size}\r\nx");
+            let err = read_response(&mut Cursor::new(raw)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{size}: {err}");
+        }
+    }
+
+    #[test]
+    fn content_length_over_the_cap_is_rejected_before_reading() {
+        let raw = format!(
+            "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\nshort",
+            MAX_BODY_BYTES + 1
+        );
+        let err = read_response(&mut Cursor::new(raw)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn unterminated_heads_stop_at_the_cap() {
+        let raw = format!("HTTP/1.1 200 OK\r\nX-Pad: {}", "a".repeat(MAX_HEAD_BYTES));
+        let err = read_response(&mut Cursor::new(raw)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 
     #[test]

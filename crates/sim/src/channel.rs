@@ -11,10 +11,8 @@ use crate::SimTime;
 /// time.
 ///
 /// This models the paper's bounded "parallel transfers possible between
-/// memory and cache" (Table 5's `Par Xfer` column) and perimeter
-/// teleportation channels. A request books the earliest available channel at
-/// or after the request time and returns the transfer's `(start, end)`
-/// window.
+/// memory and cache" (Table 5's `Par Xfer` column). A request books the
+/// earliest available channel at or after the request time.
 ///
 /// # Examples
 ///
@@ -24,38 +22,15 @@ use crate::SimTime;
 ///
 /// let mut pool = ChannelPool::new(2);
 /// let d = Seconds::new(1.0);
-/// let a = pool.book(SimTime::ZERO, d);
-/// let b = pool.book(SimTime::ZERO, d);
-/// let c = pool.book(SimTime::ZERO, d); // must wait for a channel
-/// assert_eq!(a.start, SimTime::ZERO);
-/// assert_eq!(b.start, SimTime::ZERO);
-/// assert_eq!(c.start, SimTime::from_secs(1.0));
-/// assert_eq!(c.end, SimTime::from_secs(2.0));
+/// pool.book(SimTime::ZERO, d);
+/// pool.book(SimTime::ZERO, d);
+/// pool.book(SimTime::ZERO, d); // must wait for a channel
+/// assert_eq!(pool.all_idle_at(), SimTime::from_duration(Seconds::new(2.0)));
 /// ```
 #[derive(Debug)]
 pub struct ChannelPool {
     /// Earliest free time per channel (min-heap).
     free_at: BinaryHeap<Reverse<SimTime>>,
-    capacity: usize,
-    busy: Seconds,
-    bookings: u64,
-}
-
-/// The window granted for one booked transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Booking {
-    /// When the transfer begins (>= request time).
-    pub start: SimTime,
-    /// When the transfer completes and the channel frees up.
-    pub end: SimTime,
-}
-
-impl Booking {
-    /// Time spent waiting for a free channel beyond the request instant.
-    #[must_use]
-    pub fn queueing_delay(&self, requested: SimTime) -> Seconds {
-        self.start.since(requested)
-    }
 }
 
 impl ChannelPool {
@@ -68,46 +43,19 @@ impl ChannelPool {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "channel pool capacity must be positive");
-        let mut free_at = BinaryHeap::with_capacity(capacity);
-        for _ in 0..capacity {
-            free_at.push(Reverse(SimTime::ZERO));
-        }
         Self {
-            free_at,
-            capacity,
-            busy: Seconds::ZERO,
-            bookings: 0,
+            free_at: std::iter::repeat_n(Reverse(SimTime::ZERO), capacity).collect(),
         }
-    }
-
-    /// Number of channels in the pool.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Books the earliest available channel at or after `now` for
-    /// `duration`, returning the granted window.
-    pub fn book(&mut self, now: SimTime, duration: Seconds) -> Booking {
+    /// `duration`.
+    pub fn book(&mut self, now: SimTime, duration: Seconds) {
         let Reverse(free) = self
             .free_at
             .pop()
             .expect("pool invariant: heap holds exactly `capacity` entries");
-        let start = free.max(now);
-        let end = start.advance(duration);
-        self.free_at.push(Reverse(end));
-        self.busy += duration;
-        self.bookings += 1;
-        Booking { start, end }
-    }
-
-    /// The earliest instant at which some channel is (or becomes) free.
-    #[must_use]
-    pub fn next_free(&self) -> SimTime {
-        self.free_at
-            .peek()
-            .map(|Reverse(t)| *t)
-            .expect("pool invariant: heap holds exactly `capacity` entries")
+        self.free_at.push(Reverse(free.max(now).advance(duration)));
     }
 
     /// The instant at which every booked transfer has completed.
@@ -119,30 +67,6 @@ impl ChannelPool {
             .max()
             .expect("pool invariant: heap holds exactly `capacity` entries")
     }
-
-    /// Total number of bookings served.
-    #[must_use]
-    pub fn bookings(&self) -> u64 {
-        self.bookings
-    }
-
-    /// Aggregate channel-busy time across the pool.
-    #[must_use]
-    pub fn busy_time(&self) -> Seconds {
-        self.busy
-    }
-
-    /// Mean channel utilization over `[0, horizon]`.
-    ///
-    /// Returns 0 for a zero horizon.
-    #[must_use]
-    pub fn utilization(&self, horizon: Seconds) -> f64 {
-        if horizon.as_secs() <= 0.0 {
-            0.0
-        } else {
-            (self.busy / horizon) / self.capacity as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -150,45 +74,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn serializes_when_full() {
-        let mut pool = ChannelPool::new(1);
+    fn bookings_at_zero_finish_after_ceil_b_over_k_rounds() {
         let d = Seconds::new(2.0);
-        let a = pool.book(SimTime::ZERO, d);
-        let b = pool.book(SimTime::ZERO, d);
-        assert_eq!(a.end, b.start);
-        assert_eq!(b.end, SimTime::from_secs(4.0));
-        assert_eq!(b.queueing_delay(SimTime::ZERO), Seconds::new(2.0));
-    }
-
-    #[test]
-    fn parallel_channels_do_not_block_each_other() {
-        let mut pool = ChannelPool::new(3);
-        let d = Seconds::new(1.0);
-        for _ in 0..3 {
-            let b = pool.book(SimTime::ZERO, d);
-            assert_eq!(b.start, SimTime::ZERO);
+        // (bookings b, channels k): empty, b < k, b = k, b = k + 1, and a
+        // single channel that serializes everything.
+        for (b, k) in [(0u32, 3usize), (2, 3), (3, 3), (4, 3), (3, 1)] {
+            let mut pool = ChannelPool::new(k);
+            for _ in 0..b {
+                pool.book(SimTime::ZERO, d);
+            }
+            let rounds = b.div_ceil(k as u32);
+            assert_eq!(
+                pool.all_idle_at(),
+                SimTime::from_duration(d * f64::from(rounds)),
+                "b={b} k={k}"
+            );
         }
-        assert_eq!(pool.next_free(), SimTime::from_secs(1.0));
-        assert_eq!(pool.all_idle_at(), SimTime::from_secs(1.0));
-    }
-
-    #[test]
-    fn booking_after_now_starts_at_now() {
-        let mut pool = ChannelPool::new(1);
-        let b = pool.book(SimTime::from_secs(5.0), Seconds::new(1.0));
-        assert_eq!(b.start, SimTime::from_secs(5.0));
-        assert_eq!(b.end, SimTime::from_secs(6.0));
-    }
-
-    #[test]
-    fn utilization_accounts_for_capacity() {
-        let mut pool = ChannelPool::new(2);
-        pool.book(SimTime::ZERO, Seconds::new(1.0));
-        pool.book(SimTime::ZERO, Seconds::new(1.0));
-        assert!((pool.utilization(Seconds::new(2.0)) - 0.5).abs() < 1e-12);
-        assert_eq!(pool.bookings(), 2);
-        assert_eq!(pool.busy_time(), Seconds::new(2.0));
-        assert_eq!(pool.utilization(Seconds::ZERO), 0.0);
     }
 
     #[test]

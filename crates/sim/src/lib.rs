@@ -1,39 +1,36 @@
-//! Deterministic discrete-event simulation kernel.
+//! Deterministic resource-timing kernel.
 //!
-//! The CQLA memory-hierarchy study (paper §5.2) is driven by a small
-//! simulator: instructions are fetched, operands are pulled through bounded
-//! transfer channels, and compute regions advance on logical-gate timescales.
-//! This crate provides the three pieces that simulator is built from:
+//! The CQLA memory-hierarchy study (paper §5.2) prices level-1 operand
+//! fetches through a bounded number of transfer channels. This crate
+//! provides the pieces that pricing is built from:
 //!
-//! * [`SimTime`] — a totally ordered simulation clock (integer nanoseconds,
-//!   so event ordering is exact and runs are reproducible),
-//! * [`EventQueue`] — a min-heap of timestamped events with FIFO tie-breaking,
+//! * [`SimTime`] — a totally ordered clock (integer nanoseconds, so
+//!   orderings are exact and runs are reproducible),
 //! * [`ChannelPool`] — a capacity-limited resource (the paper's "parallel
 //!   transfers possible between memory and cache"),
 //!
-//! plus [`stats`] collectors used to report utilization and latency.
+//! plus the [`stats`] hit/miss counter the cache simulator reports with.
 //!
 //! # Examples
 //!
 //! ```
-//! use cqla_sim::{EventQueue, SimTime};
+//! use cqla_sim::{ChannelPool, SimTime};
+//! use cqla_units::Seconds;
 //!
-//! let mut queue = EventQueue::new();
-//! queue.push(SimTime::from_secs(2.0), "late");
-//! queue.push(SimTime::from_secs(1.0), "early");
-//! let (t, e) = queue.pop().unwrap();
-//! assert_eq!(e, "early");
-//! assert_eq!(t, SimTime::from_secs(1.0));
+//! // Five transfers over two channels take three service rounds.
+//! let mut pool = ChannelPool::new(2);
+//! for _ in 0..5 {
+//!     pool.book(SimTime::ZERO, Seconds::new(1.0));
+//! }
+//! assert_eq!(pool.all_idle_at(), SimTime::from_duration(Seconds::new(3.0)));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod channel;
-mod queue;
 pub mod stats;
 mod time;
 
 pub use channel::ChannelPool;
-pub use queue::EventQueue;
 pub use time::SimTime;

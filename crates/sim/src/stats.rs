@@ -1,80 +1,4 @@
-//! Lightweight statistics collectors for simulation reports.
-
-use cqla_units::Seconds;
-
-/// Running scalar summary: count, mean, min, max.
-///
-/// # Examples
-///
-/// ```
-/// use cqla_sim::stats::Summary;
-///
-/// let mut s = Summary::new();
-/// for x in [1.0, 2.0, 3.0] {
-///     s.record(x);
-/// }
-/// assert_eq!(s.count(), 3);
-/// assert!((s.mean() - 2.0).abs() < 1e-12);
-/// assert_eq!(s.min(), Some(1.0));
-/// assert_eq!(s.max(), Some(3.0));
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Summary {
-    count: u64,
-    sum: f64,
-    min: Option<f64>,
-    max: Option<f64>,
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, value: f64) {
-        self.count += 1;
-        self.sum += value;
-        self.min = Some(self.min.map_or(value, |m| m.min(value)));
-        self.max = Some(self.max.map_or(value, |m| m.max(value)));
-    }
-
-    /// Number of observations.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of observations.
-    #[must_use]
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean of observations (0 if empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Minimum observation, if any.
-    #[must_use]
-    pub fn min(&self) -> Option<f64> {
-        self.min
-    }
-
-    /// Maximum observation, if any.
-    #[must_use]
-    pub fn max(&self) -> Option<f64> {
-        self.max
-    }
-}
+//! Hit/miss statistics for simulation reports.
 
 /// Hit/miss counter reporting a rate, used for cache statistics.
 ///
@@ -141,76 +65,9 @@ impl RateCounter {
     }
 }
 
-/// Tracks busy time of a unit against a wall-clock horizon.
-///
-/// # Examples
-///
-/// ```
-/// use cqla_sim::stats::BusyTracker;
-/// use cqla_units::Seconds;
-///
-/// let mut b = BusyTracker::new();
-/// b.add_busy(Seconds::new(3.0));
-/// assert!((b.utilization(Seconds::new(4.0)) - 0.75).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct BusyTracker {
-    busy: Seconds,
-}
-
-impl BusyTracker {
-    /// Creates a tracker with no accumulated busy time.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Accumulates busy time.
-    pub fn add_busy(&mut self, d: Seconds) {
-        self.busy += d;
-    }
-
-    /// Total busy time.
-    #[must_use]
-    pub fn busy(&self) -> Seconds {
-        self.busy
-    }
-
-    /// Busy fraction of the horizon, in `[0, 1]` for well-formed inputs
-    /// (0 when the horizon is empty).
-    #[must_use]
-    pub fn utilization(&self, horizon: Seconds) -> f64 {
-        if horizon.as_secs() <= 0.0 {
-            0.0
-        } else {
-            self.busy / horizon
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_handles_empty() {
-        let s = Summary::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    fn summary_tracks_extremes() {
-        let mut s = Summary::new();
-        for x in [5.0, -1.0, 3.0] {
-            s.record(x);
-        }
-        assert_eq!(s.min(), Some(-1.0));
-        assert_eq!(s.max(), Some(5.0));
-        assert!((s.sum() - 7.0).abs() < 1e-12);
-    }
 
     #[test]
     fn rate_counter_empty_rate_is_zero() {
@@ -227,11 +84,5 @@ mod tests {
         assert_eq!(c.misses(), 2);
         assert_eq!(c.total(), 3);
         assert!((c.rate() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn busy_tracker_zero_horizon() {
-        let b = BusyTracker::new();
-        assert_eq!(b.utilization(Seconds::ZERO), 0.0);
     }
 }

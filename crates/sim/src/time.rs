@@ -4,8 +4,8 @@ use cqla_units::Seconds;
 
 /// A point in simulated time, stored as integer nanoseconds.
 ///
-/// Using an integer clock (rather than `f64` seconds) makes event ordering
-/// total and platform-independent, which keeps every simulation in this
+/// Using an integer clock (rather than `f64` seconds) makes ordering
+/// total and platform-independent, which keeps every timing in this
 /// workspace deterministic. One nanosecond of resolution is 4 orders of
 /// magnitude below the 10 µs ion-trap clock cycle, so rounding is
 /// negligible.
@@ -14,31 +14,28 @@ use cqla_units::Seconds;
 ///
 /// ```
 /// use cqla_sim::SimTime;
+/// use cqla_units::Seconds;
 ///
-/// let t = SimTime::ZERO.advance_secs(0.3);
-/// assert!((t.as_secs() - 0.3).abs() < 1e-9);
+/// let t = SimTime::from_duration(Seconds::new(0.3));
+/// assert!((t.to_duration().as_secs() - 0.3).abs() < 1e-9);
 /// assert!(t > SimTime::ZERO);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SimTime(u64);
 
 impl SimTime {
     /// The start of simulated time.
     pub const ZERO: Self = Self(0);
 
-    /// Creates a time from integer nanoseconds.
-    #[must_use]
-    pub const fn from_nanos(nanos: u64) -> Self {
-        Self(nanos)
-    }
-
-    /// Creates a time from seconds, rounding to the nearest nanosecond.
+    /// Creates a time from a typed duration offset from zero, rounding to
+    /// the nearest nanosecond.
     ///
     /// # Panics
     ///
-    /// Panics if `secs` is negative, NaN, or too large to represent.
+    /// Panics if `d` is negative, NaN, or too large to represent.
     #[must_use]
-    pub fn from_secs(secs: f64) -> Self {
+    pub fn from_duration(d: Seconds) -> Self {
+        let secs = d.as_secs();
         assert!(
             secs.is_finite() && secs >= 0.0,
             "simulation time must be finite and non-negative, got {secs}"
@@ -51,71 +48,15 @@ impl SimTime {
         Self(nanos.round() as u64)
     }
 
-    /// Creates a time from a typed duration offset from zero.
-    #[must_use]
-    pub fn from_duration(d: Seconds) -> Self {
-        Self::from_secs(d.as_secs())
-    }
-
-    /// Returns the raw nanosecond count.
-    #[must_use]
-    pub const fn as_nanos(self) -> u64 {
-        self.0
-    }
-
-    /// Returns the time as floating-point seconds.
-    #[must_use]
-    pub fn as_secs(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
     /// Returns the time as a typed duration since time zero.
     #[must_use]
     pub fn to_duration(self) -> Seconds {
-        Seconds::new(self.as_secs())
-    }
-
-    /// Returns this time advanced by `secs` seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `secs` is negative or NaN.
-    #[must_use]
-    pub fn advance_secs(self, secs: f64) -> Self {
-        Self(self.0 + Self::from_secs(secs).0)
+        Seconds::new(self.0 as f64 / 1e9)
     }
 
     /// Returns this time advanced by a typed duration.
-    #[must_use]
-    pub fn advance(self, d: Seconds) -> Self {
-        self.advance_secs(d.as_secs())
-    }
-
-    /// Elapsed duration since `earlier`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `earlier` is later than `self`.
-    #[must_use]
-    pub fn since(self, earlier: Self) -> Seconds {
-        assert!(earlier <= self, "since() requires earlier <= self");
-        Seconds::new((self.0 - earlier.0) as f64 / 1e9)
-    }
-
-    /// Returns the later of two times.
-    #[must_use]
-    pub fn max(self, other: Self) -> Self {
-        if self >= other {
-            self
-        } else {
-            other
-        }
-    }
-}
-
-impl core::fmt::Display for SimTime {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "t={:.6}s", self.as_secs())
+    pub(crate) fn advance(self, d: Seconds) -> Self {
+        Self(self.0 + Self::from_duration(d).0)
     }
 }
 
@@ -125,17 +66,10 @@ mod tests {
 
     #[test]
     fn ordering_is_total() {
-        let a = SimTime::from_secs(1.0);
-        let b = SimTime::from_secs(2.0);
+        let a = SimTime::from_duration(Seconds::new(1.0));
+        let b = SimTime::from_duration(Seconds::new(2.0));
         assert!(a < b);
         assert_eq!(a.max(b), b);
-    }
-
-    #[test]
-    fn advance_and_since_round_trip() {
-        let t = SimTime::ZERO.advance_secs(1.5).advance(Seconds::new(0.5));
-        assert!((t.as_secs() - 2.0).abs() < 1e-9);
-        assert!((t.since(SimTime::from_secs(0.5)).as_secs() - 1.5).abs() < 1e-9);
     }
 
     #[test]
@@ -147,17 +81,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "finite and non-negative")]
     fn negative_time_panics() {
-        let _ = SimTime::from_secs(-1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "earlier <= self")]
-    fn since_rejects_future() {
-        let _ = SimTime::ZERO.since(SimTime::from_secs(1.0));
-    }
-
-    #[test]
-    fn display_formats_seconds() {
-        assert_eq!(SimTime::from_secs(0.25).to_string(), "t=0.250000s");
+        let _ = SimTime::from_duration(Seconds::new(-1.0));
     }
 }

@@ -5,10 +5,10 @@
 //! cargo run --example machine_tour
 //! ```
 
-use cqla_repro::core::{PipelineConfig, PipelineSim};
+use cqla_repro::core::{HierarchyConfig, HierarchyStudy};
 use cqla_repro::ecc::{AncillaFactory, Code};
 use cqla_repro::iontrap::{TechnologyParams, TileFloorplan};
-use cqla_repro::workloads::{DraperAdder, ModularAdder};
+use cqla_repro::workloads::ModularAdder;
 
 fn main() {
     let tech = TechnologyParams::projected();
@@ -44,18 +44,18 @@ fn main() {
         modadd.compute(31_000, 30_000)
     );
 
-    println!("== 4. One addition through the level-1 pipeline ==\n");
-    let sim = PipelineSim::new(&tech);
-    let adder = DraperAdder::new(64);
+    println!("== 4. One 256-bit addition through the level-1 pipeline (Table 5) ==\n");
+    let study = HierarchyStudy::new(&tech);
     for par_xfer in [10u32, 5, 2] {
-        let config = PipelineConfig::new(Code::BaconShor913, 16, par_xfer).with_cache_capacity(128);
-        let r = sim.run_adder(&adder, &config);
+        let r = study.evaluate(HierarchyConfig::new(Code::Steane713, 256, par_xfer, 36));
         println!(
-            "{par_xfer:>2} transfer channels: total {}, {} fetches, stall {}, blocks {:.0}% busy",
-            r.total_time,
-            r.fetches,
-            r.stall_time,
-            r.block_utilization * 100.0
+            "{par_xfer:>2} transfer channels: L1 adder {} (compute {}, transfers {}), \
+             {} fetches, hit rate {:.0}%",
+            r.l1_adder_time,
+            r.l1_compute_time,
+            r.l1_transfer_time,
+            r.fetches_per_addition,
+            r.cache_hit_rate * 100.0
         );
     }
 }

@@ -11,14 +11,14 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`units`] | `cqla-units` | typed time/area/probability quantities |
-//! | [`sim`] | `cqla-sim` | discrete-event kernel (queues, channels) |
+//! | [`sim`] | `cqla-sim` | deterministic clock, transfer-channel pools |
 //! | [`stabilizer`] | `cqla-stabilizer` | Pauli algebra, tableau simulator, CSS codes |
 //! | [`iontrap`] | `cqla-iontrap` | Table 1 technology model, trap geometry |
 //! | [`ecc`] | `cqla-ecc` | concatenated-EC costs (Tables 2–3), Eq. 1 fidelity |
 //! | [`circuit`] | `cqla-circuit` | gate IR, DAGs, scheduling, reversible sim |
 //! | [`compile`] | `cqla-compile` | asm program pipeline + seeded workload generator |
 //! | [`workloads`] | `cqla-workloads` | Draper/ripple adders, modexp, QFT, Shor |
-//! | [`network`] | `cqla-network` | EPR purification, mesh, bandwidth (Fig 6b) |
+//! | [`network`] | `cqla-network` | EPR purification, superblock bandwidth (Fig 6b) |
 //! | [`core`] | `cqla-core` | the CQLA itself + the experiment registry + JSON |
 //! | [`sweep`] | `cqla-sweep` | parallel experiment engine + sweep-spec language |
 //! | [`serve`] | `cqla-serve` | long-running HTTP service over the registry |
