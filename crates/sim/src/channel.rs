@@ -92,6 +92,57 @@ mod tests {
         }
     }
 
+    fn at(secs: f64) -> SimTime {
+        SimTime::from_duration(Seconds::new(secs))
+    }
+
+    #[test]
+    fn serializes_when_full() {
+        let mut pool = ChannelPool::new(1);
+        let d = Seconds::new(2.0);
+        pool.book(SimTime::ZERO, d);
+        pool.book(SimTime::ZERO, d);
+        assert_eq!(pool.all_idle_at(), at(4.0));
+        // A request made while the only channel is busy waits for it.
+        pool.book(at(1.0), d);
+        assert_eq!(pool.all_idle_at(), at(6.0));
+    }
+
+    #[test]
+    fn parallel_channels_do_not_block_each_other() {
+        let mut pool = ChannelPool::new(3);
+        for secs in [1.0, 3.0, 2.0] {
+            pool.book(SimTime::ZERO, Seconds::new(secs));
+        }
+        // The longest transfer, not the sum, sets the completion time.
+        assert_eq!(pool.all_idle_at(), at(3.0));
+    }
+
+    #[test]
+    fn booking_after_now_starts_at_now() {
+        let mut pool = ChannelPool::new(1);
+        pool.book(at(5.0), Seconds::new(1.0));
+        assert_eq!(pool.all_idle_at(), at(6.0));
+    }
+
+    #[test]
+    fn utilization_accounts_for_capacity() {
+        // Two one-second transfers on two channels keep the pool fully busy
+        // until t = 1 s: busy time / (capacity * span) is exactly one.
+        let mut pool = ChannelPool::new(2);
+        let d = Seconds::new(1.0);
+        pool.book(SimTime::ZERO, d);
+        pool.book(SimTime::ZERO, d);
+        let span = pool.all_idle_at().to_duration();
+        assert_eq!(span, d);
+        assert!(((d * 2.0) / span / 2.0 - 1.0).abs() < 1e-12);
+        // The same work on one channel takes twice as long.
+        let mut single = ChannelPool::new(1);
+        single.book(SimTime::ZERO, d);
+        single.book(SimTime::ZERO, d);
+        assert_eq!(single.all_idle_at(), at(2.0));
+    }
+
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
